@@ -5,6 +5,7 @@
 // bandwidth limits, influence-function bandwidth limits).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -19,6 +20,10 @@ namespace {
 using namespace hbd;
 using hbd::bench::benchmark_suspension;
 
+// Mesh sizes: powers of two plus the non-power-of-two K that
+// choose_pme_params lands on (36, 40, 72, 90, 96), so the ROADMAP's
+// "non-power-of-two within 1.5× of power-of-two per point" target reads
+// off one run.  Items are mesh points, so items_per_second is pts/s.
 void BM_Fft3dForward(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   Fft3d fft(k, k, k);
@@ -27,10 +32,12 @@ void BM_Fft3dForward(benchmark::State& state) {
   for (auto _ : state) {
     fft.forward(mesh.data(), spec.data());
     benchmark::DoNotOptimize(spec.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(k * k * k));
 }
-BENCHMARK(BM_Fft3dForward)->Arg(32)->Arg(48)->Arg(64)->Arg(96);
+BENCHMARK(BM_Fft3dForward)
+    ->Arg(32)->Arg(36)->Arg(40)->Arg(48)->Arg(64)->Arg(72)->Arg(90)->Arg(96);
 
 void BM_Fft3dInverse(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
@@ -41,9 +48,55 @@ void BM_Fft3dInverse(benchmark::State& state) {
   for (auto _ : state) {
     fft.inverse(spec.data(), mesh.data());
     benchmark::DoNotOptimize(mesh.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(k * k * k));
 }
-BENCHMARK(BM_Fft3dInverse)->Arg(32)->Arg(64);
+BENCHMARK(BM_Fft3dInverse)
+    ->Arg(32)->Arg(36)->Arg(40)->Arg(48)->Arg(64)->Arg(72)->Arg(90)->Arg(96);
+
+// Batched transforms as the block mobility apply runs them: 3λ interleaved
+// meshes, λ = 16 (krylov_n500 at K = 36, wavespace-sized K = 72).
+void BM_Fft3dForwardBatch(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::size_t batch = static_cast<std::size_t>(state.range(1));
+  Fft3d fft(k, k, k);
+  aligned_vector<double> mesh(fft.real_size() * batch);
+  Xoshiro256 rng(5);
+  fill_gaussian(rng, mesh);
+  aligned_vector<Complex> spec(fft.complex_size() * batch);
+  for (auto _ : state) {
+    fft.forward_batch(mesh.data(), spec.data(), batch);
+    benchmark::DoNotOptimize(spec.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(k * k * k * batch));
+}
+BENCHMARK(BM_Fft3dForwardBatch)->Args({36, 48})->Args({72, 48});
+
+void BM_Fft3dInverseBatch(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::size_t batch = static_cast<std::size_t>(state.range(1));
+  Fft3d fft(k, k, k);
+  aligned_vector<double> mesh(fft.real_size() * batch);
+  Xoshiro256 rng(5);
+  fill_gaussian(rng, mesh);
+  aligned_vector<Complex> spec(fft.complex_size() * batch), work(spec.size());
+  fft.forward_batch(mesh.data(), spec.data(), batch);
+  for (auto _ : state) {
+    // inverse_batch destroys its input: restore it outside the timed region.
+    state.PauseTiming();
+    std::copy(spec.begin(), spec.end(), work.begin());
+    state.ResumeTiming();
+    fft.inverse_batch(work.data(), mesh.data(), batch);
+    benchmark::DoNotOptimize(mesh.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(k * k * k * batch));
+}
+BENCHMARK(BM_Fft3dInverseBatch)->Args({36, 48})->Args({72, 48});
 
 void BM_BcsrSpmvSingle(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

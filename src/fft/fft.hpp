@@ -3,6 +3,7 @@
 // library carries its own plan-based implementation:
 //
 //   * mixed-radix complex 1-D FFT (any length whose prime factors are ≤ 13),
+//     computed by an iterative Stockham autosort transform (see Fft1dPlan),
 //   * real-to-complex / complex-to-real 1-D wrappers via the half-length
 //     complex trick (even lengths),
 //   * 3-D r2c/c2r transforms storing only the half spectrum
@@ -26,37 +27,68 @@ namespace hbd {
 
 using Complex = std::complex<double>;
 
-/// Plan for complex 1-D FFTs of a fixed length.  Immutable after
+/// Plan for complex 1-D FFTs of a fixed length n.  Immutable after
 /// construction and safe to share across threads; each call site provides
 /// its own workspace.
+///
+/// Algorithm: n is factored radix 4 first, then 2, 3, 5, 7, 11, 13, and the
+/// transform runs one Stockham autosort stage per factor.  A stage of radix
+/// p combines p interleaved transforms of length l into transforms of length
+/// l·p: with m = n/(l·p),
+///
+///   out[(k + l·u)·m + s] = Σ_t ω_p^{t·u} · ω_{l·p}^{t·k} · in[(k·p + t)·m + s]
+///
+/// for k < l, u < p, s < m.  The output is already in natural order (no
+/// bit-reversal pass) and the innermost loop over s is unit-stride with a
+/// fixed twiddle.  Each stage owns a contiguous table of its ω_{l·p}^{t·k}
+/// (k ≥ 1; k = 0 needs none); radices 2, 3, 4, 5 have dedicated butterflies
+/// and 7, 11, 13 a generic one over a precomputed ω_p table.
+///
+/// Data is held in split form (real parts in one array, imaginary parts in
+/// another), so the unit-stride loops vectorize without shuffles.  A call
+/// transforms `lines` interleaved sequences at once: element j of sequence
+/// q is (re[j·lines + q], im[j·lines + q]).  That is the same stage loop
+/// with s running over m·lines, so every sequence sees exactly the
+/// arithmetic of a single-line call: results are bitwise independent of
+/// `lines`.
 class Fft1dPlan {
  public:
   explicit Fft1dPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
 
-  /// Required workspace length (in Complex elements) for transform():
-  /// an n-element output buffer plus an n-element combine scratch.
-  std::size_t workspace_size() const { return 2 * n_; }
-
-  /// In-place forward transform (sign −1 in the exponent).
-  void forward(Complex* x, Complex* workspace) const;
-  /// In-place unnormalized inverse transform (sign +1).
-  void inverse(Complex* x, Complex* workspace) const;
-
- private:
-  void transform(Complex* x, Complex* workspace, bool forward) const;
-  void recurse(const Complex* in, Complex* out, std::size_t n,
-               std::size_t stride, std::size_t wstride, Complex* scratch,
-               bool forward) const;
-  Complex twiddle(std::size_t index, bool forward) const {
-    const Complex w = twiddles_[index];
-    return forward ? w : std::conj(w);
+  /// Required workspace length (in doubles) for a call on `lines`
+  /// sequences: the stages ping-pong between (re, im) and the workspace,
+  /// which must not overlap either array.
+  std::size_t workspace_size(std::size_t lines = 1) const {
+    return 2 * n_ * lines;
   }
 
+  /// In-place forward transform (sign −1 in the exponent) of `lines`
+  /// interleaved sequences of n_·lines split-complex elements.
+  void forward(double* re, double* im, double* workspace,
+               std::size_t lines = 1) const;
+  /// In-place unnormalized inverse transform (sign +1).
+  void inverse(double* re, double* im, double* workspace,
+               std::size_t lines = 1) const;
+
+ private:
+  struct Stage {
+    std::size_t radix;    // p
+    std::size_t l;        // length of the transforms this stage combines
+    std::size_t twiddle;  // offset of this stage's table in twiddles_
+  };
+
+  template <bool Forward>
+  void transform(double* re, double* im, double* workspace,
+                 std::size_t lines) const;
+
   std::size_t n_;
-  std::vector<std::size_t> factors_;       // prime factorization, ascending
-  aligned_vector<Complex> twiddles_;       // e^{-2πi t / n}, t = 0..n-1
+  std::vector<Stage> stages_;
+  // Per stage: ω_{l·p}^{t·k} at [(k−1)·(p−1) + t−1], then, for radices
+  // above 5, the p roots ω_p^j.  Forward-direction values; the inverse
+  // conjugates them inside the butterflies.
+  aligned_vector<Complex> twiddles_;
 };
 
 /// Reference O(n²) DFT used by the test suite.
@@ -69,8 +101,9 @@ void dft_naive(const Complex* in, Complex* out, std::size_t n, bool forward);
 /// that transform `batch` meshes stored interleaved (mesh index fastest:
 /// element (t, q) of the batch lives at data[t*batch + q]).  The batched
 /// entry points run one parallel region per axis with the work-sharing loop
-/// over lines × batch, so the 3s meshes of a block mobility application are
-/// transformed in a single pass instead of s passes of 3.
+/// over tiles of (line, mesh) sequences, so the 3s meshes of a block
+/// mobility application are transformed in a single pass instead of s
+/// passes of 3.
 class Fft3d {
  public:
   Fft3d(std::size_t nx, std::size_t ny, std::size_t nz);

@@ -136,9 +136,11 @@ TEST(TeaBackend, ApplyMatchesApplyBlock) {
 
 // ---- Bitwise preservation of the historical paths ---------------------------
 //
-// Golden hashes captured on the pre-refactor drivers (PR 9): the backend
-// refactor must keep the default krylov, wavespace, and dense trajectories
-// bitwise identical, with the tier machinery compiled in.
+// Golden hashes of the default krylov, wavespace, and dense trajectories,
+// with the tier machinery compiled in.  The dense hash dates from before
+// the backend refactor.  The krylov and wavespace hashes were re-locked
+// when the FFT moved to Stockham butterflies, whose rounding order
+// differs; their 10-step positions moved by at most 3.6e-15.
 
 TEST(BackendGolden, KrylovTrajectoryBitwise) {
   ParticleSystem sys = golden_system(64);
@@ -147,7 +149,7 @@ TEST(BackendGolden, KrylovTrajectoryBitwise) {
   MatrixFreeBdSimulation sim(std::move(sys), forces, golden_config(), pme,
                              1e-2);
   sim.step(10);
-  EXPECT_EQ(position_hash(sim.system()), 0x93d4488a6336dd79ull);
+  EXPECT_EQ(position_hash(sim.system()), 0x027bb287b06486beull);
 }
 
 TEST(BackendGolden, WavespaceTrajectoryBitwise) {
@@ -157,7 +159,7 @@ TEST(BackendGolden, WavespaceTrajectoryBitwise) {
   MatrixFreeBdSimulation sim(std::move(sys), forces, golden_config(), pme,
                              1e-2);
   sim.step(10);
-  EXPECT_EQ(position_hash(sim.system()), 0x7e1fecf824c93accull);
+  EXPECT_EQ(position_hash(sim.system()), 0xc13ec1f975368fffull);
 }
 
 TEST(BackendGolden, DenseTrajectoryBitwise) {

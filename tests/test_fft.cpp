@@ -2,8 +2,10 @@
 // round trips, Parseval, and the 3-D r2c/c2r transforms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <numbers>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,6 +23,23 @@ std::vector<Complex> random_complex(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+// Transforms the `lines` interleaved sequences held in x, in place, through
+// the plan's split-complex interface.
+void run_plan(const Fft1dPlan& plan, std::vector<Complex>& x, bool forward,
+              std::size_t lines = 1) {
+  std::vector<double> re(x.size()), im(x.size()),
+      ws(plan.workspace_size(lines));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    re[i] = x[i].real();
+    im[i] = x[i].imag();
+  }
+  if (forward)
+    plan.forward(re.data(), im.data(), ws.data(), lines);
+  else
+    plan.inverse(re.data(), im.data(), ws.data(), lines);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = {re[i], im[i]};
+}
+
 class Fft1dSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(Fft1dSizes, MatchesNaiveDft) {
@@ -30,8 +49,8 @@ TEST_P(Fft1dSizes, MatchesNaiveDft) {
   dft_naive(x.data(), expected.data(), n, /*forward=*/true);
 
   Fft1dPlan plan(n);
-  std::vector<Complex> y = x, ws(plan.workspace_size());
-  plan.forward(y.data(), ws.data());
+  std::vector<Complex> y = x;
+  run_plan(plan, y, /*forward=*/true);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(y[i].real(), expected[i].real(), 1e-10 * n) << "n=" << n;
     EXPECT_NEAR(y[i].imag(), expected[i].imag(), 1e-10 * n) << "n=" << n;
@@ -42,9 +61,9 @@ TEST_P(Fft1dSizes, RoundTripIsNTimesIdentity) {
   const std::size_t n = GetParam();
   const std::vector<Complex> x = random_complex(n, 31 + n);
   Fft1dPlan plan(n);
-  std::vector<Complex> y = x, ws(plan.workspace_size());
-  plan.forward(y.data(), ws.data());
-  plan.inverse(y.data(), ws.data());
+  std::vector<Complex> y = x;
+  run_plan(plan, y, /*forward=*/true);
+  run_plan(plan, y, /*forward=*/false);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(y[i].real(), n * x[i].real(), 1e-10 * n);
     EXPECT_NEAR(y[i].imag(), n * x[i].imag(), 1e-10 * n);
@@ -55,8 +74,8 @@ TEST_P(Fft1dSizes, Parseval) {
   const std::size_t n = GetParam();
   const std::vector<Complex> x = random_complex(n, 57 + n);
   Fft1dPlan plan(n);
-  std::vector<Complex> y = x, ws(plan.workspace_size());
-  plan.forward(y.data(), ws.data());
+  std::vector<Complex> y = x;
+  run_plan(plan, y, /*forward=*/true);
   double ex = 0.0, ey = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     ex += std::norm(x[i]);
@@ -65,11 +84,66 @@ TEST_P(Fft1dSizes, Parseval) {
   EXPECT_NEAR(ey, n * ex, 1e-9 * n * ex);
 }
 
+TEST_P(Fft1dSizes, MultiLineCallIsBitwiseSingleLine) {
+  // lines interleaved sequences (element j of sequence q at j·lines + q)
+  // must each get exactly the single-line arithmetic.
+  const std::size_t n = GetParam(), lines = 3;
+  const std::vector<Complex> x = random_complex(n * lines, 83 + n);
+  Fft1dPlan plan(n);
+  for (const bool forward : {true, false}) {
+    std::vector<Complex> multi = x;
+    run_plan(plan, multi, forward, lines);
+    for (std::size_t q = 0; q < lines; ++q) {
+      std::vector<Complex> line(n);
+      for (std::size_t j = 0; j < n; ++j) line[j] = x[j * lines + q];
+      run_plan(plan, line, forward);
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_EQ(multi[j * lines + q], line[j]) << "n=" << n << " q=" << q;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllRadices, Fft1dSizes,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12,
                                            13, 16, 24, 30, 32, 35, 48, 60, 64,
                                            72, 88, 100, 128, 144, 169, 176,
                                            200, 256));
+
+// Accuracy at the mesh sizes choose_pme_params produces (and their
+// half-lengths used by the r2c z pass): relative L2 error against a DFT
+// evaluated in long double, over 20 random inputs per size and direction.
+TEST(Fft1d, RelativeL2ErrorAtProductionSizes) {
+  using LComplex = std::complex<long double>;
+  for (const std::size_t n : {18, 20, 36, 40, 45, 48, 72, 90, 96}) {
+    Fft1dPlan plan(n);
+    double worst = 0.0;
+    for (std::uint64_t trial = 0; trial < 20; ++trial) {
+      const std::vector<Complex> x = random_complex(n, 1000 * n + trial);
+      for (const bool forward : {true, false}) {
+        std::vector<Complex> y = x;
+        run_plan(plan, y, forward);
+        const long double sign = forward ? -1.0L : 1.0L;
+        long double err2 = 0.0L, ref2 = 0.0L;
+        for (std::size_t k = 0; k < n; ++k) {
+          LComplex s = 0.0L;
+          for (std::size_t j = 0; j < n; ++j) {
+            const long double ang = sign * 2.0L *
+                                    std::numbers::pi_v<long double> *
+                                    static_cast<long double>(j * k % n) /
+                                    static_cast<long double>(n);
+            s += LComplex(x[j].real(), x[j].imag()) *
+                 LComplex(std::cos(ang), std::sin(ang));
+          }
+          err2 += std::norm(LComplex(y[k].real(), y[k].imag()) - s);
+          ref2 += std::norm(s);
+        }
+        worst = std::max(worst,
+                         static_cast<double>(std::sqrt(err2 / ref2)));
+      }
+    }
+    EXPECT_LE(worst, 2e-15) << "n=" << n;
+  }
+}
 
 TEST(Fft1d, RejectsLargePrimeFactors) {
   EXPECT_THROW(Fft1dPlan(17), Error);
@@ -81,8 +155,7 @@ TEST(Fft1d, ImpulseGivesFlatSpectrum) {
   std::vector<Complex> x(n, 0.0);
   x[0] = 1.0;
   Fft1dPlan plan(n);
-  std::vector<Complex> ws(plan.workspace_size());
-  plan.forward(x.data(), ws.data());
+  run_plan(plan, x, /*forward=*/true);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x[i].real(), 1.0, 1e-12);
     EXPECT_NEAR(x[i].imag(), 0.0, 1e-12);
@@ -97,8 +170,7 @@ TEST(Fft1d, PureToneLandsInOneBin) {
     x[j] = {std::cos(ang), std::sin(ang)};
   }
   Fft1dPlan plan(n);
-  std::vector<Complex> ws(plan.workspace_size());
-  plan.forward(x.data(), ws.data());
+  run_plan(plan, x, /*forward=*/true);
   for (std::size_t k = 0; k < n; ++k) {
     const double expect = (k == bin) ? static_cast<double>(n) : 0.0;
     EXPECT_NEAR(std::abs(x[k]), expect, 1e-9);
@@ -179,7 +251,8 @@ TEST_P(Fft3dDims, InversePreservesInputSpectrum) {
 INSTANTIATE_TEST_SUITE_P(SmallGrids, Fft3dDims,
                          ::testing::Values(Dims{4, 4, 4}, Dims{8, 8, 8},
                                            Dims{6, 10, 8}, Dims{12, 4, 6},
-                                           Dims{16, 16, 16}, Dims{5, 9, 12}));
+                                           Dims{16, 16, 16}, Dims{5, 9, 12},
+                                           Dims{36, 40, 48}));
 
 TEST(Fft3d, RejectsOddNz) { EXPECT_THROW(Fft3d(4, 4, 5), Error); }
 
@@ -278,7 +351,7 @@ TEST_P(Fft3dBatch, BatchRoundTripIsNTimesIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, Fft3dBatch,
-                         ::testing::Values(1u, 2u, 3u, 6u, 12u));
+                         ::testing::Values(1u, 2u, 3u, 6u, 12u, 48u));
 
 }  // namespace
 }  // namespace hbd
