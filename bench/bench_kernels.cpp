@@ -2,14 +2,18 @@
 // PME pipeline: 3-D FFTs, BCSR SpMV (single and multi-vector), spreading /
 // interpolation in both P modes, and the influence function.  These back the
 // kernel-level claims of Sec. IV (multi-vector SpMV efficiency, spreading
-// bandwidth limits, influence-function bandwidth limits).
+// bandwidth limits, influence-function bandwidth limits).  The direct-Ewald
+// assembly (Algorithm 1, line 4; the dense and TEA tiers' rebuild) is timed
+// at the TEA (1e-2) and dense (1e-6) tolerances.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
+#include "ewald/beenakker.hpp"
 #include "fft/fft.hpp"
 #include "pme/influence.hpp"
 #include "pme/interp_matrix.hpp"
@@ -267,6 +271,30 @@ void BM_InfluenceApplySqrt(benchmark::State& state) {
                           static_cast<long>(sz * (8 + 6 * 16)));
 }
 BENCHMARK(BM_InfluenceApplySqrt)->Arg(32)->Arg(64);
+
+// Args: particle count n, −log10 of the Ewald tolerance.  Items are pair
+// blocks (n(n+1)/2), so items_per_second is assembled blocks/s.
+void BM_EwaldDenseAssembly(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const double tol = std::pow(10.0, -static_cast<double>(state.range(1)));
+  const ParticleSystem sys = benchmark_suspension(n);
+  const EwaldParams p =
+      ewald_params_for_tolerance(sys.box, sys.radius, tol);
+  Matrix m(3 * n, 3 * n);
+  for (auto _ : state) {
+    ewald_mobility_dense(sys.positions, sys.box, sys.radius, p, m);
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(n * (n + 1) / 2));
+}
+BENCHMARK(BM_EwaldDenseAssembly)
+    ->Args({500, 2})
+    ->Args({500, 6})
+    ->Args({1000, 2})
+    ->Args({1000, 6})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

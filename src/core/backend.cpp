@@ -86,8 +86,14 @@ DenseCholeskyBackend::DenseCholeskyBackend(std::size_t n, double box,
 void DenseCholeskyBackend::rebuild(std::span<const Vec3> wrapped) {
   HBD_CHECK(wrapped.size() == n_);
   HBD_TRACE_SCOPE("ewald.mobility");
-  mobility_.emplace(ewald_mobility_dense(wrapped, box_, radius_, params_));
+  // Reassemble into the previous matrix's storage: the factor and the old
+  // mobility are released first, so the peak holds one 3n×3n matrix.  A
+  // throwing assembly leaves the backend empty, never half-updated.
   sampler_.reset();  // refactored lazily on the next sample
+  Matrix m = mobility_ ? std::move(*mobility_).take_matrix() : Matrix();
+  mobility_.reset();
+  ewald_mobility_dense(wrapped, box_, radius_, params_, m);
+  mobility_.emplace(std::move(m));
 }
 
 void DenseCholeskyBackend::apply(std::span<const double> f,
@@ -198,10 +204,14 @@ void TeaBackend::rebuild(std::span<const Vec3> wrapped) {
   const std::size_t d = 3 * n_;
 
   // O(n²) pairwise direct Ewald assembly of the periodic RPY mobility at
-  // the loose tier tolerance.  The analytic Hasimoto h replaces the
-  // numerically summed self blocks (they agree to the assembly tolerance;
-  // the analytic value keeps diag(B Bᵀ) = h exact below).
-  Matrix m = ewald_mobility_dense(wrapped, box_, radius_, eparams_);
+  // the loose tier tolerance, in place in the previous D's storage (one
+  // 3n×3n matrix at the peak; a throwing assembly leaves d_ empty).  The
+  // analytic Hasimoto h replaces the numerically summed self blocks (they
+  // agree to the assembly tolerance; the analytic value keeps
+  // diag(B Bᵀ) = h exact below).
+  Matrix m = d_ ? std::move(*d_).take_matrix() : Matrix();
+  d_.reset();
+  ewald_mobility_dense(wrapped, box_, radius_, eparams_, m);
   for (std::size_t i = 0; i < n_; ++i)
     for (std::size_t r = 0; r < 3; ++r)
       for (std::size_t c = 0; c < 3; ++c)

@@ -31,6 +31,9 @@ class DenseMobility final : public MobilityOperator {
   void apply_block(const Matrix& x, Matrix& y) override;
   void apply(std::span<const double> x, std::span<double> y) override;
   const Matrix& matrix() const { return m_; }
+  /// Moves the matrix out (for reassembly in place); the operator is left
+  /// empty.
+  Matrix take_matrix() && { return std::move(m_); }
 
  private:
   Matrix m_;

@@ -1,6 +1,7 @@
 #include "ewald/beenakker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -181,92 +182,197 @@ EwaldParams ewald_params_for_tolerance(double box, double a, double tol) {
   return p;
 }
 
-void ewald_pair_tensor(const Vec3& rij_in, bool self_pair, double box,
-                       double a, const EwaldParams& p,
-                       std::array<double, 9>& out) {
-  out.fill(0.0);
+// ---- Direct Ewald assembly ---------------------------------------------------
+// Same sums as the textbook per-pair evaluation (real images |r + lL| ≤ rcut,
+// wave vectors |h|∞ ≤ kmax, self and overlap terms); only the evaluation
+// order differs.  The pair-independent reciprocal factors are tabulated once
+// per call and cos(k·(r_i − r_j)) is factored into per-particle structure
+// factors, so the pair loop calls no transcendental function for the
+// reciprocal half (docs/theory.md §2).
 
-  // Wrap the displacement into the primary box (minimum image).
-  Vec3 rij = rij_in;
+namespace {
+
+/// Unique components xx, xy, xz, yy, yz, zz of a symmetric 3×3 block.
+using Sym3 = std::array<double, 6>;
+
+void add_pair_tensor(const Vec3& r, double r2, const PairCoeffs& c,
+                     Sym3& out) {
+  const double gr = c.g / r2;  // g r̂r̂ᵀ = (g/r²) r rᵀ
+  out[0] += c.f + gr * r.x * r.x;
+  out[1] += gr * r.x * r.y;
+  out[2] += gr * r.x * r.z;
+  out[3] += c.f + gr * r.y * r.y;
+  out[4] += gr * r.y * r.z;
+  out[5] += c.f + gr * r.z * r.z;
+}
+
+/// Real-space half for one displacement: images |r + lL| ≤ rcut, plus the
+/// overlap correction for i ≠ j (the l = 0 image is skipped for i == j).
+Sym3 real_space_sum(const Vec3& rij_in, bool self_pair, double box, double a,
+                    const EwaldParams& p) {
+  Sym3 out{};
+  Vec3 rij = rij_in;  // minimum image
   for (int d = 0; d < 3; ++d) rij[d] -= box * std::round(rij[d] / box);
-
-  // ---- Real-space sum over images |r + lL| ≤ rcut -------------------------
   const int lmax = static_cast<int>(std::ceil(p.rcut / box + 0.5));
+  // Prune x- and (x, y)-shifts on partial squared distances against a bound
+  // a hair above rcut², so no image the exact test below keeps is skipped.
+  const double prune2 = p.rcut * p.rcut * (1.0 + 1e-12);
   for (int lx = -lmax; lx <= lmax; ++lx) {
+    const double x = rij.x + box * lx;
+    const double x2 = x * x;
+    if (x2 > prune2) continue;
     for (int ly = -lmax; ly <= lmax; ++ly) {
+      const double y = rij.y + box * ly;
+      const double xy2 = x2 + y * y;
+      if (xy2 > prune2) continue;
       for (int lz = -lmax; lz <= lmax; ++lz) {
-        const Vec3 rl{rij.x + box * lx, rij.y + box * ly, rij.z + box * lz};
-        const double r = norm(rl);
+        const double z = rij.z + box * lz;
+        const double r2 = xy2 + z * z;
+        if (r2 > prune2) continue;
+        const double r = std::sqrt(r2);
         if (r > p.rcut) continue;
-        if (self_pair && r == 0.0) continue;  // l = 0 skipped for i == j
-        std::array<double, 9> b;
-        pair_tensor(rl, beenakker_real(r, a, p.xi), b);
-        for (int t = 0; t < 9; ++t) out[t] += b[t];
+        if (self_pair && r == 0.0) continue;
+        add_pair_tensor({x, y, z}, r2, beenakker_real(r, a, p.xi), out);
       }
     }
   }
+  if (!self_pair) {
+    const double r2 = norm2(rij);
+    if (r2 < 4.0 * a * a)
+      add_pair_tensor(rij, r2, rpy_overlap_correction(std::sqrt(r2), a), out);
+  }
+  return out;
+}
 
-  // ---- Reciprocal sum over k = 2π h / L, h ≠ 0 ----------------------------
+/// Reciprocal half, factored.  Over the half space of wave vectors (k and −k
+/// give the same even term) W_k = 2·m_ξ(k)/V·(I − k̂k̂ᵀ), so the reciprocal
+/// part of block (i, j) is Σ_k W_k·(c_i c_j + s_i s_j) with c_i = cos(k·r_i),
+/// s_i = sin(k·r_i).
+struct RecipTable {
+  std::size_t nk = 0;
+  std::vector<Sym3> w;       ///< W_k per wave vector
+  std::vector<double> trig;  ///< per particle: nk cosines, then nk sines
+  Sym3 sum{};                ///< Σ_k W_k: the reciprocal part of a self block
+
+  const double* cos_of(std::size_t i) const {
+    return trig.data() + 2 * nk * i;
+  }
+  const double* sin_of(std::size_t i) const { return cos_of(i) + nk; }
+};
+
+RecipTable recip_table(std::span<const Vec3> pos, double box, double a,
+                       const EwaldParams& p) {
   const double two_pi_over_l = 2.0 * std::numbers::pi / box;
   const double inv_v = 1.0 / (box * box * box);
-  for (int hx = -p.kmax; hx <= p.kmax; ++hx) {
+  std::vector<Vec3> ks;
+  RecipTable t;
+  for (int hx = 0; hx <= p.kmax; ++hx) {
     for (int hy = -p.kmax; hy <= p.kmax; ++hy) {
       for (int hz = -p.kmax; hz <= p.kmax; ++hz) {
-        if (hx == 0 && hy == 0 && hz == 0) continue;
+        // Half space: the first nonzero of (hx, hy, hz) is positive.
+        if (hx == 0 && (hy < 0 || (hy == 0 && hz <= 0))) continue;
         const Vec3 k{two_pi_over_l * hx, two_pi_over_l * hy,
                      two_pi_over_l * hz};
         const double k2 = norm2(k);
-        const double m = beenakker_recip(k2, a, p.xi) * inv_v;
-        const double phase = std::cos(dot(k, rij));
-        const double c = m * phase;
-        // (I − k̂k̂ᵀ) c
+        const double m = 2.0 * beenakker_recip(k2, a, p.xi) * inv_v;
         const double ik2 = 1.0 / k2;
-        out[0] += c * (1.0 - k.x * k.x * ik2);
-        out[1] += c * (-k.x * k.y * ik2);
-        out[2] += c * (-k.x * k.z * ik2);
-        out[3] += c * (-k.y * k.x * ik2);
-        out[4] += c * (1.0 - k.y * k.y * ik2);
-        out[5] += c * (-k.y * k.z * ik2);
-        out[6] += c * (-k.z * k.x * ik2);
-        out[7] += c * (-k.z * k.y * ik2);
-        out[8] += c * (1.0 - k.z * k.z * ik2);
+        const Sym3 wk{m * (1.0 - k.x * k.x * ik2), m * (-k.x * k.y * ik2),
+                      m * (-k.x * k.z * ik2),      m * (1.0 - k.y * k.y * ik2),
+                      m * (-k.y * k.z * ik2),      m * (1.0 - k.z * k.z * ik2)};
+        for (int c = 0; c < 6; ++c) t.sum[c] += wk[c];
+        t.w.push_back(wk);
+        ks.push_back(k);
       }
     }
   }
+  t.nk = ks.size();
+  const std::size_t n = pos.size(), nk = t.nk;
+  t.trig.resize(2 * nk * n);
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < n; ++i) {
+    // Phases are lattice-periodic; wrapping keeps their arguments small.
+    Vec3 r = pos[i];
+    for (int d = 0; d < 3; ++d) r[d] -= box * std::floor(r[d] / box);
+    double* c = &t.trig[2 * nk * i];
+    for (std::size_t q = 0; q < nk; ++q) {
+      const double phase = dot(ks[q], r);
+      c[q] = std::cos(phase);
+      c[nk + q] = std::sin(phase);
+    }
+  }
+  return t;
+}
 
-  // ---- Self and overlap corrections --------------------------------------
-  if (self_pair) {
-    const double s0 = beenakker_self(a, p.xi);
-    out[0] += s0;
-    out[4] += s0;
-    out[8] += s0;
-  } else {
-    const double r = norm(rij);
-    if (r < 2.0 * a) {
-      std::array<double, 9> b;
-      pair_tensor(rij, rpy_overlap_correction(r, a), b);
-      for (int t = 0; t < 9; ++t) out[t] += b[t];
+/// Adds the reciprocal part of block (i, j), in the table's fixed k order.
+void add_recip_pair(const RecipTable& t, std::size_t i, std::size_t j,
+                    Sym3& out) {
+  const double *ci = t.cos_of(i), *si = t.sin_of(i);
+  const double *cj = t.cos_of(j), *sj = t.sin_of(j);
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0, s5 = 0.0;
+  for (std::size_t q = 0; q < t.nk; ++q) {
+    const Sym3& w = t.w[q];
+    const double phase = ci[q] * cj[q] + si[q] * sj[q];  // cos(k·(r_i − r_j))
+    s0 += w[0] * phase;
+    s1 += w[1] * phase;
+    s2 += w[2] * phase;
+    s3 += w[3] * phase;
+    s4 += w[4] * phase;
+    s5 += w[5] * phase;
+  }
+  out[0] += s0;
+  out[1] += s1;
+  out[2] += s2;
+  out[3] += s3;
+  out[4] += s4;
+  out[5] += s5;
+}
+
+/// Real images l ≠ 0 of a particle with itself plus the self term M^(0);
+/// the same for every particle.
+Sym3 self_real_block(double box, double a, const EwaldParams& p) {
+  Sym3 b = real_space_sum({0.0, 0.0, 0.0}, true, box, a, p);
+  const double s0 = beenakker_self(a, p.xi);
+  b[0] += s0;
+  b[3] += s0;
+  b[5] += s0;
+  return b;
+}
+
+void store_block(Matrix& m, std::size_t i, std::size_t j, const Sym3& b) {
+  const double full[9] = {b[0], b[1], b[2], b[1], b[3], b[4], b[2], b[4], b[5]};
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 3; ++c) {
+      m(3 * i + r, 3 * j + c) = full[3 * r + c];
+      m(3 * j + c, 3 * i + r) = full[3 * r + c];
+    }
+}
+
+}  // namespace
+
+void ewald_mobility_dense(std::span<const Vec3> pos, double box, double a,
+                          const EwaldParams& p, Matrix& m) {
+  const std::size_t n = pos.size();
+  if (m.rows() != 3 * n || m.cols() != 3 * n) m.resize(3 * n, 3 * n);
+  const RecipTable t = recip_table(pos, box, a, p);
+  Sym3 self = self_real_block(box, a, p);
+  for (int c = 0; c < 6; ++c) self[c] += t.sum[c];  // cos(0) = 1 for every k
+  // Block (i, j) and its mirror are written by one thread, summed in a fixed
+  // order: bitwise identical for any thread count.
+#pragma omp parallel for schedule(dynamic, 4)
+  for (std::size_t i = 0; i < n; ++i) {
+    store_block(m, i, i, self);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      Sym3 b = real_space_sum(pos[i] - pos[j], false, box, a, p);
+      add_recip_pair(t, i, j, b);
+      store_block(m, i, j, b);
     }
   }
 }
 
 Matrix ewald_mobility_dense(std::span<const Vec3> pos, double box, double a,
                             const EwaldParams& p) {
-  const std::size_t n = pos.size();
-  Matrix m(3 * n, 3 * n);
-#pragma omp parallel for schedule(dynamic, 4)
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      std::array<double, 9> b;
-      ewald_pair_tensor(pos[i] - pos[j], i == j, box, a, p, b);
-      for (int r = 0; r < 3; ++r) {
-        for (int c = 0; c < 3; ++c) {
-          m(3 * i + r, 3 * j + c) = b[3 * r + c];
-          if (i != j) m(3 * j + c, 3 * i + r) = b[3 * r + c];
-        }
-      }
-    }
-  }
+  Matrix m;
+  ewald_mobility_dense(pos, box, a, p, m);
   return m;
 }
 
@@ -275,15 +381,49 @@ void ewald_mobility_apply(std::span<const Vec3> pos, double box, double a,
                           std::span<double> y) {
   const std::size_t n = pos.size();
   HBD_CHECK(x.size() == 3 * n && y.size() == 3 * n);
+  const RecipTable t = recip_table(pos, box, a, p);
+  const std::size_t nk = t.nk;
+  const Sym3 self = self_real_block(box, a, p);
+
+  // Structure factors of the force: C_k = Σ_j c_j x_j, S_k = Σ_j s_j x_j.
+  std::vector<double> fc(3 * nk), fs(3 * nk);
+#pragma omp parallel for schedule(static)
+  for (std::size_t q = 0; q < nk; ++q) {
+    double c[3] = {0.0, 0.0, 0.0}, s[3] = {0.0, 0.0, 0.0};
+    for (std::size_t j = 0; j < n; ++j) {
+      const double cj = t.cos_of(j)[q], sj = t.sin_of(j)[q];
+      for (int d = 0; d < 3; ++d) {
+        c[d] += cj * x[3 * j + d];
+        s[d] += sj * x[3 * j + d];
+      }
+    }
+    for (int d = 0; d < 3; ++d) {
+      fc[3 * q + d] = c[d];
+      fs[3 * q + d] = s[d];
+    }
+  }
+
+  auto add_block_times = [](const Sym3& b, const double* v, double* s) {
+    s[0] += b[0] * v[0] + b[1] * v[1] + b[2] * v[2];
+    s[1] += b[1] * v[0] + b[3] * v[1] + b[4] * v[2];
+    s[2] += b[2] * v[0] + b[4] * v[1] + b[5] * v[2];
+  };
 #pragma omp parallel for schedule(dynamic, 4)
   for (std::size_t i = 0; i < n; ++i) {
     double s[3] = {0.0, 0.0, 0.0};
+    add_block_times(self, &x[3 * i], s);
     for (std::size_t j = 0; j < n; ++j) {
-      std::array<double, 9> b;
-      ewald_pair_tensor(pos[i] - pos[j], i == j, box, a, p, b);
-      const double* xj = x.data() + 3 * j;
-      for (int r = 0; r < 3; ++r)
-        s[r] += b[3 * r] * xj[0] + b[3 * r + 1] * xj[1] + b[3 * r + 2] * xj[2];
+      if (j == i) continue;
+      add_block_times(real_space_sum(pos[i] - pos[j], false, box, a, p),
+                      &x[3 * j], s);
+    }
+    // Σ_k W_k·(c_i C_k + s_i S_k): the j = i term is W_k x_i (c² + s² = 1).
+    const double *ci = t.cos_of(i), *si = t.sin_of(i);
+    for (std::size_t q = 0; q < nk; ++q) {
+      const double v[3] = {ci[q] * fc[3 * q] + si[q] * fs[3 * q],
+                           ci[q] * fc[3 * q + 1] + si[q] * fs[3 * q + 1],
+                           ci[q] * fc[3 * q + 2] + si[q] * fs[3 * q + 2]};
+      add_block_times(t.w[q], v, s);
     }
     y[3 * i] = s[0];
     y[3 * i + 1] = s[1];

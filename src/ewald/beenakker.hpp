@@ -117,21 +117,23 @@ struct EwaldParams {
 /// relative accuracy for a cubic box of width `box`.
 EwaldParams ewald_params_for_tolerance(double box, double a, double tol);
 
-/// Accumulates the scaled periodic pair tensor M_ij (sum over real-space
-/// images and reciprocal lattice) for displacement rij (any representative;
-/// the result is lattice-periodic).  Includes the self + overlap terms when
-/// `self_pair` is true (i == j).
-void ewald_pair_tensor(const Vec3& rij, bool self_pair, double box, double a,
-                       const EwaldParams& p, std::array<double, 9>& out);
-
 /// Dense scaled periodic mobility matrix (3n×3n) via direct Ewald summation
 /// — the conventional-BD matrix (Algorithm 1, line 4) and the high-accuracy
-/// reference for measuring PME error e_p.
+/// reference for measuring PME error e_p.  Block (i, j) sums the real-space
+/// images |r_ij + lL| ≤ rcut, the wave vectors 0 < |h|∞ ≤ kmax, and the self
+/// (i == j) or overlap (|r_ij| < 2a) term.  The reciprocal half is evaluated
+/// through per-particle structure factors, O(n·N_k) trig calls in all.
+/// Writes into `m` (resized only when its shape differs), so a caller can
+/// reuse one allocation across rebuilds.  Bitwise identical for any thread
+/// count.
+void ewald_mobility_dense(std::span<const Vec3> pos, double box, double a,
+                          const EwaldParams& p, Matrix& m);
 Matrix ewald_mobility_dense(std::span<const Vec3> pos, double box, double a,
                             const EwaldParams& p);
 
-/// y = M x without forming M (direct Ewald, O(n²)); reference operator for
-/// tests against PME.
+/// y = M x without forming M (direct Ewald): an O(n²) real-space pair loop
+/// plus an O(n·N_k) structure-factor reciprocal half.  Reference operator
+/// for tests and e_p probes against PME.
 void ewald_mobility_apply(std::span<const Vec3> pos, double box, double a,
                           const EwaldParams& p, std::span<const double> x,
                           std::span<double> y);

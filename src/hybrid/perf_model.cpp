@@ -272,13 +272,14 @@ double PmePerfModel::t_tea_apply(std::size_t n, std::size_t s) const {
   return t_mem > t_flop ? t_mem : t_flop;
 }
 
-double PmePerfModel::t_tea_setup(std::size_t n) const {
-  // Pairwise direct-Ewald assembly of D at the loose TEA tolerance plus
-  // the S_r/ε̄ row sweep: ~3× fewer lattice/reciprocal terms than the
-  // production-tolerance dense assembly (kmax shrinks with √log(1/tol)).
-  const double pairs = static_cast<double>(n) * static_cast<double>(n);
-  const double flops = pairs * 200.0 * 15.0;
-  return flops / (0.5 * hw_.peak_dp_gflops * 1e9);
+double PmePerfModel::t_tea_setup(std::size_t n, const EwaldParams& p,
+                                 double box) const {
+  // Assembly plus the S_r/ε̄ row sweep: 3 flops per entry over one more
+  // read of the matrix.
+  const double d = 3.0 * static_cast<double>(n);
+  const double t_sweep = std::max(d * d * 8.0 / (hw_.stream_bw_gbs * 1e9),
+                                  d * d * 3.0 / (0.5 * hw_.peak_dp_gflops * 1e9));
+  return t_dense_assembly(n, p, box) + t_sweep;
 }
 
 double PmePerfModel::t_dense_apply(std::size_t n) const {
@@ -286,12 +287,29 @@ double PmePerfModel::t_dense_apply(std::size_t n) const {
   return d * d * 8.0 / (hw_.stream_bw_gbs * 1e9);
 }
 
-double PmePerfModel::t_dense_assembly(std::size_t n) const {
-  // Ewald lattice sums per 3×3 entry block: O(100) real + reciprocal image
-  // terms at production tolerances, ~50 flops (erfc/exp) each.
-  const double pairs = static_cast<double>(n) * static_cast<double>(n);
-  const double flops = pairs * 200.0 * 50.0;
-  return flops / (0.5 * hw_.peak_dp_gflops * 1e9);
+double PmePerfModel::t_dense_assembly(std::size_t n, const EwaldParams& p,
+                                      double box) const {
+  // Flop equivalents at half the calibrated peak: one real-space image
+  // (sqrt, erfc, exp, divisions, the f/g polynomials and the 6-entry tensor
+  // update), one wave vector of a pair (8 FMAs), one sin/cos pair.  The
+  // image cost is fitted to ewald_mobility_dense at n = 1000, tolerances
+  // 1e-2 and 1e-6, on one thread of a 4-core x86-64 host.
+  constexpr double kFlopsPerImage = 400.0;
+  constexpr double kFlopsPerWaveVector = 16.0;
+  constexpr double kFlopsPerSinCos = 40.0;
+  const double nn = static_cast<double>(n);
+  const double pairs = 0.5 * nn * nn;
+  // A shifted lattice has on average (4π/3)(rcut/L)³ points inside rcut.
+  const double rl = p.rcut / box;
+  const double images = 4.0 / 3.0 * std::numbers::pi * rl * rl * rl;
+  const double side = 2.0 * p.kmax + 1.0;
+  const double half_k = 0.5 * (side * side * side - 1.0);
+  const double flops =
+      pairs * (images * kFlopsPerImage + half_k * kFlopsPerWaveVector) +
+      nn * half_k * kFlopsPerSinCos;
+  const double bytes = 9.0 * nn * nn * 8.0;  // the (3n)² matrix, written once
+  return std::max(flops / (0.5 * hw_.peak_dp_gflops * 1e9),
+                  bytes / (hw_.stream_bw_gbs * 1e9));
 }
 
 }  // namespace hbd

@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "ewald/beenakker.hpp"
+
 namespace hbd {
 
 /// Architectural parameters (paper Table I plus modeling knobs).
@@ -182,15 +184,21 @@ class PmePerfModel {
   /// assembled (3n)² periodic mobility applying the truncated-expansion
   /// square root to a width-s block — max(matrix traffic, 2-flop floor).
   double t_tea_apply(std::size_t n, std::size_t s) const;
-  /// TEA per-mobility-update setup: O(n²) pairwise direct-Ewald assembly
-  /// of D at the loose tier tolerance plus the S_r/ε̄/β row sweep.
-  double t_tea_setup(std::size_t n) const;
+  /// TEA per-mobility-update setup: the direct-Ewald assembly of D at the
+  /// loose tier parameters `p` (t_dense_assembly) plus the S_r/ε̄/β row
+  /// sweep over the assembled matrix.
+  double t_tea_setup(std::size_t n, const EwaldParams& p, double box) const;
   /// Dense tier: one 3n×3n GEMV over STREAM bandwidth (the matrix streams
   /// once; triangular solves of the Cholesky sampler stream half of it).
   double t_dense_apply(std::size_t n) const;
-  /// Dense Ewald assembly: real + reciprocal lattice sums per 3×3 entry
-  /// block — heavily flop-bound (erfc/exp per image term).
-  double t_dense_assembly(std::size_t n) const;
+  /// Direct-Ewald assembly (ewald_mobility_dense) with parameters `p` in a
+  /// box of width `box`: n²/2 pair blocks, each summing the real-space
+  /// images inside rcut (erfc/exp per image) and the half-space wave
+  /// vectors (8 FMAs each against the per-particle structure factors),
+  /// plus n·N_k sin/cos for those factors — flop-bound against writing the
+  /// (3n)² matrix.
+  double t_dense_assembly(std::size_t n, const EwaldParams& p,
+                          double box) const;
 
  private:
   double fft_rate(std::size_t mesh) const;

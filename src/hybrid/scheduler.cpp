@@ -266,21 +266,36 @@ BdStepModel model_bd_step(const Device& host,
   return out;
 }
 
+namespace {
+
+// Direct-Ewald assembly parameters of the TEA tier (TeaBackend at its
+// declared e_p of 5e-2 assembles at 1e-2) and of the dense tier (1e-6).
+// The balanced split makes rcut/L and kmax functions of the tolerance
+// alone, so a unit box gives the work of any box.
+EwaldParams assembly_params(double ewald_tol) {
+  return ewald_params_for_tolerance(1.0, 1.0, ewald_tol);
+}
+
+}  // namespace
+
 double model_tea_step(const Device& host, std::size_t n, std::size_t lambda) {
   const double lam = static_cast<double>(lambda < 1 ? 1 : lambda);
+  const EwaldParams p = assembly_params(1e-2);
   return host.model.t_tea_apply(n, 1) +
-         (host.model.t_tea_setup(n) + host.model.t_tea_apply(n, lambda)) /
+         (host.model.t_tea_setup(n, p, 1.0) +
+          host.model.t_tea_apply(n, lambda)) /
              lam;
 }
 
 double model_dense_step(const Device& host, std::size_t n,
                         std::size_t lambda) {
   const double lam = static_cast<double>(lambda < 1 ? 1 : lambda);
+  const EwaldParams p = assembly_params(1e-6);
   // λ triangular solves against the Cholesky factor: each streams half the
   // matrix footprint of a full GEMV.
   const double t_sample = lam * host.model.t_dense_apply(n) / 2.0;
   return host.model.t_dense_apply(n) +
-         (host.model.t_dense_assembly(n) + host.model.t_cholesky(n) +
+         (host.model.t_dense_assembly(n, p, 1.0) + host.model.t_cholesky(n) +
           t_sample) /
              lam;
 }

@@ -137,10 +137,12 @@ TEST(TeaBackend, ApplyMatchesApplyBlock) {
 // ---- Bitwise preservation of the historical paths ---------------------------
 //
 // Golden hashes of the default krylov, wavespace, and dense trajectories,
-// with the tier machinery compiled in.  The dense hash dates from before
-// the backend refactor.  The krylov and wavespace hashes were re-locked
-// when the FFT moved to Stockham butterflies, whose rounding order
-// differs; their 10-step positions moved by at most 3.6e-15.
+// with the tier machinery compiled in.  The krylov and wavespace hashes
+// were re-locked when the FFT moved to Stockham butterflies, whose rounding
+// order differs; their 10-step positions moved by at most 3.6e-15.  The
+// dense hash was re-locked (from 0x0a676c08b11d9116) when the direct-Ewald
+// assembly moved to structure factors, which sum the same terms in a
+// different order; its 10-step positions moved by at most 1.8e-15.
 
 TEST(BackendGolden, KrylovTrajectoryBitwise) {
   ParticleSystem sys = golden_system(64);
@@ -167,7 +169,7 @@ TEST(BackendGolden, DenseTrajectoryBitwise) {
   auto forces = std::make_shared<RepulsiveHarmonic>(1.0);
   EwaldBdSimulation sim(std::move(sys), forces, golden_config(), 1e-6);
   sim.step(10);
-  EXPECT_EQ(position_hash(sim.system()), 0x0a676c08b11d9116ull);
+  EXPECT_EQ(position_hash(sim.system()), 0x5202d1809718d8e9ull);
 }
 
 // ---- Forced tier overrides --------------------------------------------------

@@ -2,11 +2,16 @@
 // stringent checks are (a) invariance of the summed mobility under the
 // splitting parameter ξ — any error in the real-space, reciprocal-space or
 // self formulas breaks it — and (b) the known Hasimoto finite-size expansion
-// of the periodic single-particle mobility.
+// of the periodic single-particle mobility.  The ξ checks run on a
+// brute-force per-pair oracle; the structure-factor assembly is then held to
+// that oracle entry by entry.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,6 +49,74 @@ std::vector<Vec3> random_positions(std::size_t n, double box,
     if (ok) pos.push_back(cand);
   }
   return pos;
+}
+
+/// Brute-force periodic pair tensor M_ij: every real-space image within
+/// rcut and every reciprocal wave vector, re-evaluated from scratch for the
+/// one displacement (any representative; the result is lattice-periodic).
+/// Self + overlap terms as in the assembly.  The oracle for
+/// ewald_mobility_dense.
+std::array<double, 9> brute_force_pair_tensor(const Vec3& rij_in,
+                                              bool self_pair, double box,
+                                              double a, const EwaldParams& p) {
+  std::array<double, 9> out{};
+  Vec3 rij = rij_in;
+  for (int d = 0; d < 3; ++d) rij[d] -= box * std::round(rij[d] / box);
+
+  const int lmax = static_cast<int>(std::ceil(p.rcut / box + 0.5));
+  for (int lx = -lmax; lx <= lmax; ++lx)
+    for (int ly = -lmax; ly <= lmax; ++ly)
+      for (int lz = -lmax; lz <= lmax; ++lz) {
+        const Vec3 rl{rij.x + box * lx, rij.y + box * ly, rij.z + box * lz};
+        const double r = norm(rl);
+        if (r > p.rcut) continue;
+        if (self_pair && r == 0.0) continue;  // l = 0 skipped for i == j
+        std::array<double, 9> b;
+        pair_tensor(rl, beenakker_real(r, a, p.xi), b);
+        for (int t = 0; t < 9; ++t) out[t] += b[t];
+      }
+
+  const double two_pi_over_l = 2.0 * std::numbers::pi / box;
+  const double inv_v = 1.0 / (box * box * box);
+  for (int hx = -p.kmax; hx <= p.kmax; ++hx)
+    for (int hy = -p.kmax; hy <= p.kmax; ++hy)
+      for (int hz = -p.kmax; hz <= p.kmax; ++hz) {
+        if (hx == 0 && hy == 0 && hz == 0) continue;
+        const Vec3 k{two_pi_over_l * hx, two_pi_over_l * hy,
+                     two_pi_over_l * hz};
+        const double k2 = norm2(k);
+        const double c =
+            beenakker_recip(k2, a, p.xi) * inv_v * std::cos(dot(k, rij));
+        for (int r = 0; r < 3; ++r)
+          for (int col = 0; col < 3; ++col)
+            out[3 * r + col] +=
+                c * ((r == col ? 1.0 : 0.0) - k[r] * k[col] / k2);
+      }
+
+  if (self_pair) {
+    const double s0 = beenakker_self(a, p.xi);
+    out[0] += s0;
+    out[4] += s0;
+    out[8] += s0;
+  } else {
+    const double r = norm(rij);
+    if (r < 2.0 * a) {
+      std::array<double, 9> b;
+      pair_tensor(rij, rpy_overlap_correction(r, a), b);
+      for (int t = 0; t < 9; ++t) out[t] += b[t];
+    }
+  }
+  return out;
+}
+
+/// Self block of a lone particle from the production assembly.
+std::array<double, 9> assembled_self_block(double box, double a,
+                                           const EwaldParams& p) {
+  const std::vector<Vec3> one{{0.0, 0.0, 0.0}};
+  const Matrix m = ewald_mobility_dense(one, box, a, p);
+  std::array<double, 9> t;
+  std::copy(m.data(), m.data() + 9, t.begin());
+  return t;
 }
 
 TEST(Rpy, PairCoeffsFarField) {
@@ -145,14 +218,13 @@ TEST_P(EwaldXiIndependence, PairTensorIndependentOfXi) {
       std::ceil(2.0 * varied.xi * s * box / (2.0 * M_PI)));
 
   const Vec3 rij{3.1, -1.7, 4.9};
-  std::array<double, 9> t0, t1;
-  ewald_pair_tensor(rij, false, box, a, base, t0);
-  ewald_pair_tensor(rij, false, box, a, varied, t1);
+  auto t0 = brute_force_pair_tensor(rij, false, box, a, base);
+  auto t1 = brute_force_pair_tensor(rij, false, box, a, varied);
   for (int t = 0; t < 9; ++t) EXPECT_NEAR(t0[t], t1[t], 1e-8) << "entry " << t;
 
   // Self pair too (exercises the self-term formula).
-  ewald_pair_tensor({0, 0, 0}, true, box, a, base, t0);
-  ewald_pair_tensor({0, 0, 0}, true, box, a, varied, t1);
+  t0 = brute_force_pair_tensor({0, 0, 0}, true, box, a, base);
+  t1 = brute_force_pair_tensor({0, 0, 0}, true, box, a, varied);
   for (int t = 0; t < 9; ++t) EXPECT_NEAR(t0[t], t1[t], 1e-8) << "self " << t;
 }
 
@@ -165,8 +237,7 @@ TEST(Ewald, HasimotoFiniteSizeExpansion) {
   const double a = 1.0;
   for (double box : {20.0, 40.0}) {
     const EwaldParams p = ewald_params_for_tolerance(box, a, 1e-12);
-    std::array<double, 9> t;
-    ewald_pair_tensor({0, 0, 0}, true, box, a, p, t);
+    const std::array<double, 9> t = assembled_self_block(box, a, p);
     const double x = a / box;
     const double expected =
         1.0 - 2.837297 * x + 4.0 * M_PI / 3.0 * x * x * x -
@@ -186,9 +257,8 @@ TEST(Ewald, PairTensorPeriodicInBox) {
   const EwaldParams p = ewald_params_for_tolerance(box, a, 1e-8);
   const Vec3 rij{2.0, -3.0, 1.5};
   const Vec3 shifted{2.0 + box, -3.0 - 2 * box, 1.5 + box};
-  std::array<double, 9> t0, t1;
-  ewald_pair_tensor(rij, false, box, a, p, t0);
-  ewald_pair_tensor(shifted, false, box, a, p, t1);
+  const auto t0 = brute_force_pair_tensor(rij, false, box, a, p);
+  const auto t1 = brute_force_pair_tensor(shifted, false, box, a, p);
   for (int t = 0; t < 9; ++t) EXPECT_NEAR(t0[t], t1[t], 1e-12);
 }
 
@@ -215,6 +285,102 @@ TEST(Ewald, ApplyMatchesDense) {
   ewald_mobility_apply(pos, box, a, p, x, y_apply);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(y_apply[i], y_dense[i], 1e-11);
+}
+
+// ---- Structure-factor assembly against the brute-force oracle ---------------
+
+/// n = 48 at Φ ≈ 0.2 with separations down to 1.5a, so overlap pairs
+/// (r < 2a) are exercised too.
+std::vector<Vec3> oracle_positions(double box) {
+  return random_positions(48, box, 53, 1.5, 1.0);
+}
+constexpr double kOracleBox = 10.0;
+
+class EwaldAssemblyOracle : public ::testing::TestWithParam<double> {};
+
+TEST_P(EwaldAssemblyOracle, EveryEntryMatchesBruteForce) {
+  const double a = 1.0, box = kOracleBox;
+  const auto pos = oracle_positions(box);
+  const EwaldParams p = ewald_params_for_tolerance(box, a, GetParam());
+  const Matrix m = ewald_mobility_dense(pos, box, a, p);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < pos.size(); ++i)
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      const auto b = brute_force_pair_tensor(pos[i] - pos[j], i == j, box, a, p);
+      for (std::size_t r = 0; r < 3; ++r)
+        for (std::size_t c = 0; c < 3; ++c)
+          worst = std::max(worst,
+                           std::abs(m(3 * i + r, 3 * j + c) - b[3 * r + c]));
+    }
+  EXPECT_LT(worst, 1e-13) << "tol=" << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Tolerances, EwaldAssemblyOracle,
+                         ::testing::Values(1e-2, 1e-6, 1e-12));
+
+TEST(Ewald, ApplyMatchesDenseAcrossTolerances) {
+  const double a = 1.0, box = kOracleBox;
+  const auto pos = oracle_positions(box);
+  std::vector<double> x(3 * pos.size()), y_dense(x.size()), y_apply(x.size());
+  Xoshiro256 rng(59);
+  fill_gaussian(rng, x);
+  for (double tol : {1e-2, 1e-6, 1e-12}) {
+    const EwaldParams p = ewald_params_for_tolerance(box, a, tol);
+    gemv(1.0, ewald_mobility_dense(pos, box, a, p), x, 0.0, y_dense);
+    ewald_mobility_apply(pos, box, a, p, x, y_apply);
+    double diff2 = 0.0, ref2 = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      diff2 += (y_apply[i] - y_dense[i]) * (y_apply[i] - y_dense[i]);
+      ref2 += y_dense[i] * y_dense[i];
+    }
+    EXPECT_LT(std::sqrt(diff2 / ref2), 1e-13) << "tol=" << tol;
+  }
+}
+
+TEST(Ewald, AssemblyBitwiseAcrossThreadCounts) {
+  const double a = 1.0, box = kOracleBox;
+  const auto pos = oracle_positions(box);
+  const EwaldParams p = ewald_params_for_tolerance(box, a, 1e-6);
+  const int saved = omp_get_max_threads();
+  std::vector<Matrix> ms;
+  std::vector<std::vector<double>> ys;
+  std::vector<double> x(3 * pos.size());
+  Xoshiro256 rng(61);
+  fill_gaussian(rng, x);
+  for (int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    ms.push_back(ewald_mobility_dense(pos, box, a, p));
+    ys.emplace_back(x.size());
+    ewald_mobility_apply(pos, box, a, p, x, ys.back());
+  }
+  omp_set_num_threads(saved);
+  const std::size_t bytes = ms[0].rows() * ms[0].cols() * sizeof(double);
+  for (std::size_t t = 1; t < ms.size(); ++t) {
+    EXPECT_EQ(std::memcmp(ms[0].data(), ms[t].data(), bytes), 0) << t;
+    EXPECT_EQ(std::memcmp(ys[0].data(), ys[t].data(),
+                          x.size() * sizeof(double)),
+              0)
+        << t;
+  }
+}
+
+TEST(Ewald, InPlaceAssemblyMatchesByValue) {
+  // The in-place overload reuses (and if needed reshapes) the caller's
+  // matrix; stale contents must not leak into the result.
+  const double a = 1.0, box = kOracleBox;
+  const auto pos = oracle_positions(box);
+  const EwaldParams p = ewald_params_for_tolerance(box, a, 1e-2);
+  const Matrix expected = ewald_mobility_dense(pos, box, a, p);
+  Matrix reused(3 * pos.size(), 3 * pos.size());
+  reused.fill(7.0);
+  Matrix reshaped(5, 3);
+  ewald_mobility_dense(pos, box, a, p, reused);
+  ewald_mobility_dense(pos, box, a, p, reshaped);
+  const std::size_t bytes = expected.rows() * expected.cols() * sizeof(double);
+  EXPECT_EQ(std::memcmp(expected.data(), reused.data(), bytes), 0);
+  ASSERT_EQ(reshaped.rows(), expected.rows());
+  ASSERT_EQ(reshaped.cols(), expected.cols());
+  EXPECT_EQ(std::memcmp(expected.data(), reshaped.data(), bytes), 0);
 }
 
 TEST(Ewald, TranslationInvariance) {
