@@ -68,11 +68,8 @@ int main(int argc, char** argv) {
   // sampler runs in.
   const std::size_t n = full_mode() ? 20000 : 16000;
   const ParticleSystem sys = benchmark_suspension(n);
-  PmeParams pp;
-  pp.mesh = full_mode() ? 96 : 64;
-  pp.order = 6;
-  pp.rmax = std::min(5.0, 0.499 * sys.box);
-  pp.xi = std::sqrt(std::log(1e4)) / pp.rmax;
+  // The splitting the pme_krylov tier runs at e_p = 1e-3.
+  const PmeParams pp = choose_pme_params(sys.box, sys.radius, 1e-3);
   const auto wrapped = sys.wrapped_positions();
   publish_bench_manifest(sys, pp);
   PmeOperator pme(wrapped, sys.box, sys.radius, pp);

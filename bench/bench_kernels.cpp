@@ -24,8 +24,8 @@ namespace {
 using namespace hbd;
 using hbd::bench::benchmark_suspension;
 
-// Mesh sizes: powers of two plus the non-power-of-two K that
-// choose_pme_params lands on (36, 40, 72, 90, 96), so the ROADMAP's
+// Mesh sizes: powers of two plus non-power-of-two K of the kind the PME
+// choosers produce (36, 40, 72, 90, 96), so the ROADMAP's
 // "non-power-of-two within 1.5× of power-of-two per point" target reads
 // off one run.  Items are mesh points, so items_per_second is pts/s.
 void BM_Fft3dForward(benchmark::State& state) {
@@ -60,7 +60,8 @@ BENCHMARK(BM_Fft3dInverse)
     ->Arg(32)->Arg(36)->Arg(40)->Arg(48)->Arg(64)->Arg(72)->Arg(90)->Arg(96);
 
 // Batched transforms as the block mobility apply runs them: 3λ interleaved
-// meshes, λ = 16 (krylov_n500 at K = 36, wavespace-sized K = 72).
+// meshes, λ = 16 (K = 36 is krylov_n500's mesh under the earlier
+// Gaussian-decay chooser, K = 72 wavespace_n4000's).
 void BM_Fft3dForwardBatch(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t batch = static_cast<std::size_t>(state.range(1));

@@ -4,15 +4,23 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "obs/telemetry.hpp"
 
 namespace hbd {
 
 namespace {
-/// Scratch-buffer cap of the chunked enumeration sweep: rows are processed
-/// in windows whose summed candidate bound stays below this (≈32 MB of
-/// Entry slots), so peak memory is independent of the system size.
-constexpr std::size_t kScratchEntries = std::size_t{1} << 20;
+/// Soft scratch-buffer cap of the chunked enumeration sweep: rows are
+/// processed in windows whose summed candidate bound stays below this
+/// (2 MiB of Entry slots), so the retained scratch is independent of the
+/// system size.  Rows enumerate independently, so the window size never
+/// changes the list.
+constexpr std::size_t kScratchEntries = std::size_t{1} << 16;
+
+/// Rows per thread a window holds at least, whatever the cap: one
+/// schedule(dynamic, 16) chunk each, so every thread has work even when
+/// wide cutoffs make each row's candidate bound a large fraction of n.
+constexpr std::size_t kMinWindowRowsPerThread = 16;
 }  // namespace
 
 NeighborList::NeighborList(double box, double cutoff, double skin)
@@ -168,13 +176,16 @@ void NeighborList::rebuild_full(std::span<const Vec3> pos) {
   row_ptr_[0] = 0;
   cols_.clear();
   rij_.clear();
+  const std::size_t min_rows =
+      kMinWindowRowsPerThread *
+      static_cast<std::size_t>(std::max(max_threads(), 1));
   std::size_t r0 = 0;
   while (r0 < n) {
     chunk_off_.clear();
     std::size_t r1 = r0, total = 0;
     while (r1 < n) {
       const std::size_t b = candidate_bound(r1);
-      if (r1 > r0 && total + b > kScratchEntries) break;
+      if (r1 - r0 >= min_rows && total + b > kScratchEntries) break;
       chunk_off_.push_back(total);
       total += b;
       ++r1;

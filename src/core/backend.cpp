@@ -405,8 +405,8 @@ PmeParams pme_params_for_tier(MobilityTier tier, double box, double radius,
                               Precision precision) {
   switch (tier) {
     case MobilityTier::pme_krylov:
-      return choose_pme_params(box, radius, ep_target, /*rmax_in_radii=*/5.0,
-                               order, precision);
+      return choose_pme_params(box, radius, ep_target, std::nullopt, order,
+                               precision);
     case MobilityTier::pse_wavespace:
       return choose_pme_params_wavespace(box, radius, ep_target, order,
                                          precision);

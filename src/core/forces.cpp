@@ -9,10 +9,9 @@ namespace hbd {
 
 const NeighborList& RepulsiveHarmonic::own_list(std::span<const Vec3> pos,
                                                 double box) const {
-  // Private persistent fallback: skin-padded so steady-state stepping only
-  // re-enumerates pairs every O(skin / step) calls.  Recreated when the box
-  // changes (a force field may be shared between simulations); particle
-  // count changes and position jumps are absorbed by update() itself.
+  // Recreated when the box changes (a force field may be shared between
+  // simulations); particle count changes and position jumps are absorbed by
+  // update() itself.
   const double cutoff = 2.0 * radius_;
   if (!own_ || own_->box() != box) own_.emplace(box, cutoff, 0.5 * radius_);
   own_->update(pos);
@@ -21,25 +20,11 @@ const NeighborList& RepulsiveHarmonic::own_list(std::span<const Vec3> pos,
 
 void RepulsiveHarmonic::add_forces(std::span<const Vec3> pos, double box,
                                    std::span<double> f) const {
-  add_forces(pos, box, f, nullptr);
-}
-
-void RepulsiveHarmonic::add_forces(std::span<const Vec3> pos, double box,
-                                   std::span<double> f,
-                                   const NeighborList* neighbors) const {
   HBD_CHECK(f.size() == 3 * pos.size());
   const double cutoff = 2.0 * radius_;
-  // The shared simulation list is reusable when it covers the steric cutoff
-  // (2a ≤ r_max) and actually describes this configuration.
-  const bool shared_usable = neighbors != nullptr &&
-                             neighbors->cutoff() >= cutoff &&
-                             neighbors->box() == box &&
-                             neighbors->particles() == pos.size();
-  const NeighborList& list =
-      shared_usable ? *neighbors : own_list(pos, box);
   // The sweep visits each pair from both sides, so accumulating only into
   // row i is race-free and captures the full pair force.
-  list.for_each_neighbor_of_all(
+  own_list(pos, box).for_each_neighbor_of_all(
       pos, cutoff,
       [&](std::size_t i, std::size_t, const Vec3& rij, double r2) {
         const double r = std::sqrt(r2);
@@ -82,12 +67,6 @@ void UniformForce::add_forces(std::span<const Vec3> pos, double /*box*/,
 void CompositeForce::add_forces(std::span<const Vec3> pos, double box,
                                 std::span<double> f) const {
   for (const auto& ff : fields_) ff->add_forces(pos, box, f);
-}
-
-void CompositeForce::add_forces(std::span<const Vec3> pos, double box,
-                                std::span<double> f,
-                                const NeighborList* neighbors) const {
-  for (const auto& ff : fields_) ff->add_forces(pos, box, f, neighbors);
 }
 
 }  // namespace hbd

@@ -28,14 +28,11 @@ class ForceField {
   /// with a clear error instead of silently diverging.
   virtual const char* name() const { return "unsupported"; }
 
-  /// Neighbor-aware entry point used by the BD drivers: `neighbors` is the
-  /// simulation-owned list, already updated for `pos` (or nullptr).  Pair
-  /// forces whose cutoff fits under the list's reuse it instead of building
-  /// private neighbor structures; the default forwards to the 3-argument
-  /// overload.
-  virtual void add_forces(std::span<const Vec3> pos, double box,
-                          std::span<double> f,
-                          const NeighborList* /*neighbors*/) const {
+  /// Form taking the simulation's PME-cutoff neighbor list.  The list is
+  /// not consulted: pair forces enumerate their own cutoff-sized lists
+  /// (RepulsiveHarmonic), so a wide mobility cutoff costs them nothing.
+  void add_forces(std::span<const Vec3> pos, double box, std::span<double> f,
+                  const NeighborList* /*neighbors*/) const {
     add_forces(pos, box, f);
   }
 };
@@ -47,19 +44,20 @@ class RepulsiveHarmonic : public ForceField {
  public:
   RepulsiveHarmonic(double radius, double spring_k = 125.0)
       : radius_(radius), k_(spring_k) {}
+  /// Enumerates pairs on a private persistent list at cutoff 2a with a
+  /// 0.5a skin, so steady-state stepping re-enumerates only every
+  /// O(skin / step) calls.  Rows are sorted ascending, so the per-particle
+  /// summation order (and the forces, bitwise) match any wider list's.  Not
+  /// thread-safe across concurrent calls (the list is mutable state).
   void add_forces(std::span<const Vec3> pos, double box,
                   std::span<double> f) const override;
-  /// Reuses the shared list when its cutoff covers 2a; otherwise falls back
-  /// to a private persistent skin-padded list.  Not thread-safe across
-  /// concurrent calls (the fallback list is mutable state).
-  void add_forces(std::span<const Vec3> pos, double box, std::span<double> f,
-                  const NeighborList* neighbors) const override;
+  using ForceField::add_forces;
   const char* name() const override { return "repulsive_harmonic"; }
   double radius() const { return radius_; }
   double spring_k() const { return k_; }
 
  private:
-  /// Revalidates (or creates) the private fallback list for `pos`.
+  /// Revalidates (or creates) the private list for `pos`.
   const NeighborList& own_list(std::span<const Vec3> pos, double box) const;
 
   double radius_;
@@ -106,8 +104,6 @@ class CompositeForce : public ForceField {
   }
   void add_forces(std::span<const Vec3> pos, double box,
                   std::span<double> f) const override;
-  void add_forces(std::span<const Vec3> pos, double box, std::span<double> f,
-                  const NeighborList* neighbors) const override;
 
  private:
   std::vector<std::shared_ptr<const ForceField>> fields_;

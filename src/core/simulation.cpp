@@ -9,6 +9,7 @@
 #include "linalg/blas.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/telemetry.hpp"
+#include "pme/params.hpp"
 #include "pme/validate.hpp"
 
 namespace hbd {
@@ -30,9 +31,11 @@ void fill_run_fields(obs::RunManifest& m, const BdConfig& config,
 
 /// One propagation step shared by both drivers:
 /// r += μ0·(M̃ f)·Δt + d, with d the pre-sampled Brownian displacement.
-/// `neighbors` is the simulation-owned list shared with the force fields
-/// (nullptr for the dense driver); the wrapped/force/velocity buffers are
-/// caller-owned scratch so steady-state stepping allocates nothing.
+/// `neighbors` is the simulation-owned list of the PME operator (nullptr
+/// for the dense driver); it is revalidated only while the backend has a
+/// mesh — the meshless tiers never read it, and the force fields keep their
+/// own lists.  The wrapped/force/velocity buffers are caller-owned scratch
+/// so steady-state stepping allocates nothing.
 void propagate(ParticleSystem& system,
                const std::shared_ptr<const ForceField>& forces,
                const BdConfig& config, MobilityBackend& mobility,
@@ -47,13 +50,13 @@ void propagate(ParticleSystem& system,
   }
   f.assign(3 * n, 0.0);
   u.assign(3 * n, 0.0);
-  if (neighbors) {
+  if (neighbors && mobility.pme() != nullptr) {
     HBD_TRACE_SCOPE("bd.neighbor");
     neighbors->update(wrapped);
   }
   if (forces) {
     HBD_TRACE_SCOPE("bd.forces");
-    forces->add_forces(wrapped, system.box, f, neighbors);
+    forces->add_forces(wrapped, system.box, f);
   }
   {
     HBD_TRACE_SCOPE("bd.apply");
@@ -340,20 +343,29 @@ void MatrixFreeBdSimulation::route_tier() {
   const double ri = effective_rebuild_interval(*nlist_);
   const double rf = effective_rebuild_fraction(*nlist_);
   const bool sym = pme_params_.storage == NearFieldStorage::symmetric;
+  // The splittings the PME tiers are priced at depend only on the box, the
+  // spline order and the tier's declared accuracy, all fixed for the run:
+  // choose them on the first routing, not on every mobility update.
+  const double ep_ws = tier_default_ep(MobilityTier::pse_wavespace);
+  const double ep_kr = tier_default_ep(MobilityTier::pme_krylov);
+  if (!routed_splits_)
+    routed_splits_ = {
+        choose_pme_params_wavespace(system_.box, 1.0, ep_ws,
+                                    pme_params_.order),
+        choose_pme_params(system_.box, 1.0, ep_kr, std::nullopt,
+                          pme_params_.order)};
   // Candidate costs come from the recalibrated perf model (the drift audit
   // folds measured per-phase scales into effective_hardware when
   // auto-recalibration is on); declared accuracies are the tier defaults.
   const TierPolicy::Candidate cands[kMobilityTierCount] = {
       {MobilityTier::tea, tier_default_ep(MobilityTier::tea),
        model_tea_step(host, n, config_.lambda_rpy)},
-      {MobilityTier::pse_wavespace,
-       tier_default_ep(MobilityTier::pse_wavespace),
-       model_bd_step(host, {}, n, system_.box, pme_params_.order, 1e-3,
-                     config_.lambda_rpy, iters, ri, sym, rf,
-                     /*wavespace=*/true, iters)
+      {MobilityTier::pse_wavespace, ep_ws,
+       model_bd_step(host, {}, n, system_.box, routed_splits_->first, ep_ws,
+                     config_.lambda_rpy, iters, ri, sym, rf, iters)
            .cpu_only},
-      {MobilityTier::pme_krylov, tier_default_ep(MobilityTier::pme_krylov),
-       model_bd_step(host, {}, n, system_.box, pme_params_.order, 1e-3,
+      {MobilityTier::pme_krylov, ep_kr,
+       model_bd_step(host, {}, n, system_.box, routed_splits_->second, ep_kr,
                      config_.lambda_rpy, iters, ri, sym, rf)
            .cpu_only},
       {MobilityTier::dense, tier_default_ep(MobilityTier::dense),
@@ -375,8 +387,8 @@ void MatrixFreeBdSimulation::swap_backend(MobilityTier t) {
                                   tier_default_ep(t), native_params_.order,
                                   native_params_.precision);
     pme_params_ = p;
-    // The neighbor list is shared with the force fields, so it must match
-    // the new cutoff; the near-field rebuild knobs are re-applied.
+    // The real-space operator enumerates this list, so it must match the
+    // new cutoff; the near-field rebuild knobs are re-applied.
     nlist_ = std::make_shared<NeighborList>(system_.box, p.rmax, p.skin);
     if (p.partial_rebuilds) nlist_->set_partial_rebuilds(true);
     if (p.auto_skin && p.skin > 0.0)
@@ -385,8 +397,8 @@ void MatrixFreeBdSimulation::swap_backend(MobilityTier t) {
                                      system_.radius, pme_params_,
                                      krylov_config_, nlist_);
   } else {
-    // tea/dense need no PME operator; the existing list keeps serving the
-    // steric forces at the native cutoff.
+    // tea/dense need no PME operator and no list: propagate stops
+    // revalidating it until a PME tier returns (the forces keep their own).
     backend_ = make_mobility_backend(t, system_.size(), system_.box,
                                      system_.radius, pme_params_,
                                      krylov_config_, nullptr);

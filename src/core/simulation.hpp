@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/neighbor_list.hpp"
@@ -111,8 +112,10 @@ class MatrixFreeBdSimulation {
   /// The current PME operator (null for tiers without one, e.g. tea).
   PmeOperator* pme() { return backend_ ? backend_->pme() : nullptr; }
   const PmeOperator* pme() const { return backend_ ? backend_->pme() : nullptr; }
-  /// The simulation-owned neighbor list shared by the real-space assembly
-  /// and the steric forces (cutoff = PME rmax, padded by the PME skin).
+  /// The simulation-owned neighbor list of the real-space PME assembly
+  /// (cutoff = PME rmax, padded by the PME skin).  Not revalidated while a
+  /// tier without a PME operator (tea, dense) is active; the steric forces
+  /// enumerate their own 2a list.
   const NeighborList& neighbor_list() const { return *nlist_; }
 
   // --- Fidelity tiers ------------------------------------------------------
@@ -277,6 +280,9 @@ class MatrixFreeBdSimulation {
   /// Error-budget routing state (set_error_budget); forced_tier_ pins the
   /// backend against policy overrides (set_tier).
   std::optional<TierPolicy> policy_;
+  /// Splittings route_tier prices the wavespace and krylov tiers at
+  /// (first, second), chosen on its first call.
+  std::optional<std::pair<PmeParams, PmeParams>> routed_splits_;
   bool forced_tier_ = false;
   std::uint64_t tier_switches_ = 0;
   double error_budget_ = 0.0;

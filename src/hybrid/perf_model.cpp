@@ -176,6 +176,31 @@ double PmePerfModel::mean_neighbors(std::size_t n, double rmax, double box) {
   return 4.0 / 3.0 * std::numbers::pi * rmax * rmax * rmax * density;
 }
 
+double PmePerfModel::t_pme_step(std::size_t n, double box, double rmax,
+                                std::size_t mesh, int order,
+                                const PmeStepShape& shape) const {
+  const std::size_t lambda = std::max<std::size_t>(shape.lambda, 1);
+  const double nbr = mean_neighbors(n, rmax, box);
+  // Per extra SpMM column: the x and y streams (plus the y read-back of the
+  // symmetric transpose scatter) while the matrix itself is read once.
+  const double vec_bytes = shape.symmetric ? 72.0 : 48.0;
+  const double t_real = t_realspace(n, nbr, shape.symmetric);
+  const double t_single = t_real + t_recip(mesh, order, n);
+  const double t_real_block =
+      t_real + static_cast<double>(lambda - 1) * vec_bytes *
+                   static_cast<double>(n) / (hw_.stream_bw_gbs * 1e9);
+  const double t_block = t_real_block + t_recip_block(mesh, order, n, lambda);
+  const double nf_it =
+      static_cast<double>(std::max(shape.nearfield_iterations, 1));
+  const double t_sampling =
+      shape.wavespace
+          ? t_wave_sample(mesh, order, n, lambda) + nf_it * t_real_block
+          : static_cast<double>(shape.krylov_iterations) * t_block;
+  return t_single + t_sampling / static_cast<double>(lambda) +
+         t_realspace_overhead(n, nbr, shape.lambda, shape.rebuild_interval,
+                              shape.rebuild_fraction);
+}
+
 double PmePerfModel::t_realspace(std::size_t n, double neighbors,
                                  bool symmetric) const {
   return t_realspace_block(n, neighbors, 1, symmetric);

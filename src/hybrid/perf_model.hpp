@@ -53,6 +53,24 @@ HardwareParams recalibrated(HardwareParams hw, double bandwidth_scale,
 /// PCIe-attached.
 HardwareParams xeon_phi_knc();
 
+/// The run shape the PME-tier step cost is priced at: one mobility update
+/// (a width-λ Brownian block) per λ steps, sampled either by
+/// `krylov_iterations` full block applies (block Lanczos) or, with
+/// `wavespace`, by one wave-space sample plus `nearfield_iterations`
+/// near-field-only block sweeps; the near-field structures are refreshed
+/// once per update and re-enumerated every `rebuild_interval` steps
+/// (non-positive: no amortized overhead) over `rebuild_fraction` of the
+/// rows.  `symmetric` prices the half-stored near field.
+struct PmeStepShape {
+  std::size_t lambda = 16;
+  int krylov_iterations = 6;
+  double rebuild_interval = 256.0;
+  bool symmetric = false;
+  double rebuild_fraction = 1.0;
+  bool wavespace = false;
+  int nearfield_iterations = 0;
+};
+
 /// Per-phase execution-time model of one reciprocal-space PME application.
 ///
 /// `value_bytes` is the storage width of the near-field block values and the
@@ -164,6 +182,15 @@ class PmePerfModel {
 
   /// Average neighbor count for cutoff rmax in a box of width L.
   static double mean_neighbors(std::size_t n, double rmax, double box);
+
+  /// Host-only seconds per BD step of a PME tier at the splitting
+  /// (rmax, mesh, order): one single-vector apply (Alg. 2 line 9), the
+  /// per-update Brownian sampling of `shape` amortized over its λ steps,
+  /// and the amortized near-field refresh and neighbor rebuild.  The block
+  /// terms reflect the batched reciprocal pipeline (P and influence read
+  /// once per block) and the multi-vector SpMM that reads the matrix once.
+  double t_pme_step(std::size_t n, double box, double rmax, std::size_t mesh,
+                    int order, const PmeStepShape& shape) const;
 
   /// PCIe round trip for offloading one force vector and fetching one
   /// velocity vector (2·24n bytes).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numbers>
 
 #include "common/error.hpp"
 #include "common/neighbor_list.hpp"
@@ -21,63 +20,34 @@ double effective_rebuild_fraction(const NeighborList& list, double fallback) {
   return std::clamp(list.mean_rebuild_fraction(), 0.0, 1.0);
 }
 
-namespace {
-
-/// Couples (rmax, K) to ξ under a truncation-error budget: both half-sums
-/// converged to ~ep (same rule as choose_pme_params).
-void derive_cutoffs(double xi, double box, double ep_target, double* rmax,
-                    std::size_t* mesh) {
-  const double s = std::sqrt(std::log(10.0 / ep_target));
-  *rmax = std::min(s / xi, 0.5 * box);
-  const double kc = 2.0 * xi * s * 1.2;
-  *mesh = nice_fft_size(static_cast<std::size_t>(
-      std::ceil(kc * box / std::numbers::pi)));
-}
-
-}  // namespace
-
 HybridPlan tune_splitting(const Device& host, const Device& accelerator,
                           std::size_t n, double box, int order,
                           double ep_target, std::size_t lambda,
                           double rebuild_interval, bool symmetric,
                           double rebuild_fraction) {
-  const double s = std::sqrt(std::log(10.0 / ep_target));
-  // ξ range: from "everything in real space" (rmax = L/2) to a real-space
-  // cutoff of two particle diameters.
-  const double xi_lo = s / (0.5 * box);
-  const double xi_hi = s / 4.0;
-  HybridPlan best;
-  best.t_single = std::numeric_limits<double>::infinity();
-
-  const int steps = 200;
-  for (int i = 0; i <= steps; ++i) {
-    const double xi =
-        xi_lo * std::pow(xi_hi / xi_lo, static_cast<double>(i) / steps);
-    double rmax = 0.0;
-    std::size_t mesh = 0;
-    derive_cutoffs(xi, box, ep_target, &rmax, &mesh);
-    const double nbr = PmePerfModel::mean_neighbors(n, rmax, box);
+  auto plan_at = [&](const PmeParams& p) {
+    const double nbr = PmePerfModel::mean_neighbors(n, p.rmax, box);
+    HybridPlan h;
+    h.xi = p.xi;
+    h.rmax = p.rmax;
+    h.mesh = p.mesh;
     // Host-side work per step: the SpMV plus the amortized assembly/rebuild
     // of the persistent near-field structures (both CPU work, so both must
     // fit under the overlapped accelerator reciprocal sweep).
-    const double t_real =
+    h.t_real_host =
         host.model.t_realspace(n, nbr, symmetric) +
         host.model.t_realspace_overhead(n, nbr, lambda, rebuild_interval,
                                         rebuild_fraction);
-    const double t_recip = accelerator.model.t_recip(mesh, order, n) +
-                           accelerator.model.t_offload_transfer(n);
+    h.t_recip_device = accelerator.model.t_recip(p.mesh, order, n) +
+                       accelerator.model.t_offload_transfer(n);
     // Host and accelerator overlap: the step takes the slower of the two.
-    const double t = std::max(t_real, t_recip);
-    if (t < best.t_single) {
-      best.xi = xi;
-      best.rmax = rmax;
-      best.mesh = mesh;
-      best.t_real_host = t_real;
-      best.t_recip_device = t_recip;
-      best.t_single = t;
-    }
-  }
-  return best;
+    h.t_single = std::max(h.t_real_host, h.t_recip_device);
+    return h;
+  };
+  // The chooser's own candidates, priced by the overlapped step.
+  return plan_at(sweep_pme_cutoffs(
+      box, ep_target, order,
+      [&](const PmeParams& p) { return plan_at(p).t_single; }));
 }
 
 double partition_makespan(const std::vector<Device>& devices,
@@ -179,52 +149,30 @@ BdStepModel model_bd_step(const Device& host,
                           int krylov_iterations, double rebuild_interval,
                           bool symmetric, double rebuild_fraction,
                           bool wavespace, int nearfield_iterations) {
-  BdStepModel out;
-  const double nf_it = static_cast<double>(std::max(nearfield_iterations, 1));
-  // Per extra SpMM column: the x and y streams (plus the y read-back of the
-  // symmetric transpose scatter) while the matrix itself is read once.
-  const double vec_bytes = symmetric ? 72.0 : 48.0;
+  const PmeParams split =
+      wavespace ? choose_pme_params_wavespace(box, 1.0, ep_target, order)
+                : choose_pme_params(box, 1.0, ep_target, std::nullopt, order);
+  return model_bd_step(host, accelerators, n, box, split, ep_target, lambda,
+                       krylov_iterations, rebuild_interval, symmetric,
+                       rebuild_fraction, nearfield_iterations);
+}
 
-  // ---- CPU-only: balanced splitting on the host alone --------------------
-  {
-    const double s = std::sqrt(std::log(10.0 / ep_target));
-    double best = std::numeric_limits<double>::infinity();
-    const double xi_lo = s / (0.5 * box), xi_hi = s / 4.0;
-    for (int i = 0; i <= 200; ++i) {
-      const double xi =
-          xi_lo * std::pow(xi_hi / xi_lo, static_cast<double>(i) / 200.0);
-      double rmax = 0.0;
-      std::size_t mesh = 0;
-      derive_cutoffs(xi, box, ep_target, &rmax, &mesh);
-      const double nbr = PmePerfModel::mean_neighbors(n, rmax, box);
-      // Per step: one deterministic single-vector apply (line 9), plus
-      // k_it batched block applies of width λ per mobility update amortized
-      // over λ steps.  The block terms reflect the batched reciprocal
-      // pipeline (P and influence read once per block) and the reused BCSR
-      // matrix in the multi-vector SpMM.
-      const double t_real = host.model.t_realspace(n, nbr, symmetric);
-      const double t_single = t_real + host.model.t_recip(mesh, order, n);
-      const double t_real_block =
-          t_real + static_cast<double>(lambda - 1) * vec_bytes *
-                       static_cast<double>(n) /
-                       (host.model.hardware().stream_bw_gbs * 1e9);
-      const double t_block =
-          t_real_block + host.model.t_recip_block(mesh, order, n, lambda);
-      // Per-update Brownian sampling: k_it full block applies (Krylov), or
-      // the PSE split — one wave-space sample of width λ plus a few
-      // near-field-only block SpMM sweeps.
-      const double t_sampling =
-          wavespace ? host.model.t_wave_sample(mesh, order, n, lambda) +
-                          nf_it * t_real_block
-                    : static_cast<double>(krylov_iterations) * t_block;
-      const double t_step =
-          t_single + t_sampling / static_cast<double>(lambda) +
-          host.model.t_realspace_overhead(n, nbr, lambda, rebuild_interval,
-                                          rebuild_fraction);
-      if (t_step < best) best = t_step;
-    }
-    out.cpu_only = best;
-  }
+BdStepModel model_bd_step(const Device& host,
+                          const std::vector<Device>& accelerators,
+                          std::size_t n, double box, const PmeParams& split,
+                          double ep_target, std::size_t lambda,
+                          int krylov_iterations, double rebuild_interval,
+                          bool symmetric, double rebuild_fraction,
+                          int nearfield_iterations) {
+  BdStepModel out;
+  const int order = split.order;
+  const bool wavespace = split.brownian == BrownianMethod::wavespace;
+
+  // ---- CPU-only: the splitting the tier runs -------------------------------
+  out.cpu_only = host.model.t_pme_step(
+      n, box, split.rmax, split.mesh, order,
+      PmeStepShape{lambda, krylov_iterations, rebuild_interval, symmetric,
+                   rebuild_fraction, wavespace, nearfield_iterations});
 
   // ---- Hybrid -------------------------------------------------------------
   if (!accelerators.empty()) {
@@ -244,7 +192,9 @@ BdStepModel model_bd_step(const Device& host,
         partition_makespan_batched(all, counts, plan.mesh, order, n);
     const double nbr = PmePerfModel::mean_neighbors(n, plan.rmax, box);
     // Multi-vector SpMM reuses the matrix: model as bandwidth-bound with the
-    // matrix read once plus λ vector streams.
+    // matrix read once plus λ vector streams (x and y per extra column, plus
+    // the y read-back of the symmetric transpose scatter).
+    const double vec_bytes = symmetric ? 72.0 : 48.0;
     const double t_real_block =
         host.model.t_realspace(n, nbr, symmetric) +
         static_cast<double>(lambda - 1) * vec_bytes * static_cast<double>(n) /
@@ -252,6 +202,8 @@ BdStepModel model_bd_step(const Device& host,
     const double t_line6 = std::max(t_real_block, t_recip_block);
     // With the wavespace split the sampling never leaves the host: one wave
     // sample plus the near-field sweeps (no reciprocal block to partition).
+    const double nf_it =
+        static_cast<double>(std::max(nearfield_iterations, 1));
     const double t_sampling =
         wavespace ? host.model.t_wave_sample(plan.mesh, order, n, lambda) +
                         nf_it * t_real_block

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "hybrid/perf_model.hpp"
+#include "pme/pme_operator.hpp"
 
 namespace hbd {
 
@@ -55,15 +56,16 @@ struct HybridPlan {
   double t_single = 0.0;  ///< modeled single-vector PME time (line 9)
 };
 
-/// Sweeps the splitting parameter so that one real-space evaluation on the
+/// Sweeps the real-space cutoff so that one real-space evaluation on the
 /// host overlaps one reciprocal evaluation on the accelerator (paper's α
-/// tuning).  `ep_target` fixes the truncation-error budget that couples
-/// rmax(ξ) and K(ξ).  The host real-space term includes the amortized cost
-/// of the persistent near-field pipeline — one BCSR value refresh per
-/// mobility update (`lambda` steps) and one Verlet rebuild per
-/// `rebuild_interval` steps — which grows with rmax and therefore pulls the
-/// balanced ξ toward finer splittings; pass lambda = 0 (or a non-positive
-/// interval) for the legacy amortization-free model.  `symmetric` models the
+/// tuning).  The candidates are sweep_pme_cutoffs' — the (ξ, r_max, K)
+/// that choose_pme_params pins for `ep_target` at each cutoff of its grid
+/// (box in particle radii, a = 1) — priced by the overlapped step time.
+/// The host real-space term includes the amortized cost of the persistent
+/// near-field pipeline — one BCSR value refresh per mobility update (`lambda` steps) and one Verlet
+/// rebuild per `rebuild_interval` steps — which grows with rmax and
+/// therefore pulls the balanced ξ toward finer splittings; pass lambda = 0
+/// (or a non-positive interval) for the legacy amortization-free model.  `symmetric` models the
 /// half-stored near field (halved matrix stream pulls ξ back toward coarser
 /// splittings); `rebuild_fraction` is the measured partial-rebuild row
 /// fraction (effective_rebuild_fraction), shrinking the amortized rebuild
@@ -110,14 +112,18 @@ struct BdStepModel {
   double speedup() const { return hybrid > 0.0 ? cpu_only / hybrid : 0.0; }
 };
 
-/// `rebuild_interval` is the measured (or estimated) steps between Verlet
-/// list rebuilds, feeding the amortized real-space pipeline overhead; a
-/// non-positive value disables the term.  `symmetric` and `rebuild_fraction`
-/// as in tune_splitting.  With `wavespace`, the per-update Brownian sampling
-/// is modeled as the PSE split instead of the full block-Krylov term: one
-/// t_wave_sample of width λ plus `nearfield_iterations` near-field-only
-/// block SpMM sweeps (both on the host — the far-field sample is not
-/// partitioned across accelerators).
+/// The CPU-only cost is PmePerfModel::t_pme_step at the splitting the
+/// driver runs for the tier: choose_pme_params (or, with `wavespace`,
+/// choose_pme_params_wavespace) for `ep_target` and `order`, with the box in
+/// particle radii (a = 1).  The hybrid cost balances host and accelerators
+/// at tune_splitting's plan.  `rebuild_interval` is the measured (or
+/// estimated) steps between Verlet list rebuilds, feeding the amortized
+/// real-space pipeline overhead; a non-positive value disables the term.
+/// `symmetric` and `rebuild_fraction` as in tune_splitting.  With
+/// `wavespace`, the per-update Brownian sampling is modeled as the PSE split
+/// instead of the full block-Krylov term: one t_wave_sample of width λ plus
+/// `nearfield_iterations` near-field-only block SpMM sweeps (both on the
+/// host — the far-field sample is not partitioned across accelerators).
 BdStepModel model_bd_step(const Device& host,
                           const std::vector<Device>& accelerators,
                           std::size_t n, double box, int order,
@@ -127,6 +133,21 @@ BdStepModel model_bd_step(const Device& host,
                           bool symmetric = false,
                           double rebuild_fraction = 1.0,
                           bool wavespace = false,
+                          int nearfield_iterations = 0);
+
+/// model_bd_step with the CPU-only splitting given (box and `split` in
+/// particle radii): callers that price a tier repeatedly choose its
+/// splitting once.  `split.order` is the spline order and
+/// `split.brownian == BrownianMethod::wavespace` selects the wavespace
+/// sampling term; `ep_target` feeds only the hybrid plan.
+BdStepModel model_bd_step(const Device& host,
+                          const std::vector<Device>& accelerators,
+                          std::size_t n, double box, const PmeParams& split,
+                          double ep_target, std::size_t lambda,
+                          int krylov_iterations,
+                          double rebuild_interval = 256.0,
+                          bool symmetric = false,
+                          double rebuild_fraction = 1.0,
                           int nearfield_iterations = 0);
 
 /// Modeled per-step cost of the TEA tier (core/backend.hpp's TeaBackend):

@@ -13,9 +13,8 @@
 namespace hbd {
 
 PmeParams reference_pme_params(double box, double radius, double ref_tol) {
-  PmeParams ref = choose_pme_params(box, radius, ref_tol,
-                                    /*rmax_in_radii=*/8.0, /*order=*/10);
-  return ref;
+  return decay_rule_pme_params(box, radius, ref_tol, /*rmax_in_radii=*/8.0,
+                               /*order=*/10);
 }
 
 namespace {

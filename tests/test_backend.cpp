@@ -142,7 +142,12 @@ TEST(TeaBackend, ApplyMatchesApplyBlock) {
 // order differs; their 10-step positions moved by at most 3.6e-15.  The
 // dense hash was re-locked (from 0x0a676c08b11d9116) when the direct-Ewald
 // assembly moved to structure factors, which sum the same terms in a
-// different order; its 10-step positions moved by at most 1.8e-15.
+// different order; its 10-step positions moved by at most 1.8e-15.  The
+// krylov hash was re-locked again (from 0x027bb287b06486be) when
+// choose_pme_params became the calibrated, cost-balanced chooser: the run's
+// splitting moved from (r_max 5a, ξa 0.607, K 18) to (5.25a, 0.681, 24),
+// a different mobility within the old e_p, so its 10-step positions moved
+// by up to 1.1e-3.
 
 TEST(BackendGolden, KrylovTrajectoryBitwise) {
   ParticleSystem sys = golden_system(64);
@@ -151,7 +156,7 @@ TEST(BackendGolden, KrylovTrajectoryBitwise) {
   MatrixFreeBdSimulation sim(std::move(sys), forces, golden_config(), pme,
                              1e-2);
   sim.step(10);
-  EXPECT_EQ(position_hash(sim.system()), 0x027bb287b06486beull);
+  EXPECT_EQ(position_hash(sim.system()), 0x11a2964b27bb1844ull);
 }
 
 TEST(BackendGolden, WavespaceTrajectoryBitwise) {
@@ -185,7 +190,11 @@ TEST(BackendTier, ForcedTeaRunsWithoutPme) {
   EXPECT_EQ(sim.tier(), MobilityTier::tea);
   EXPECT_EQ(sim.tier_switches(), 1u);
   EXPECT_EQ(sim.pme(), nullptr);
+  // The meshless tier never reads the PME-cutoff list, so stepping it
+  // leaves the list untouched (the steric force keeps its own).
+  const std::uint64_t list_updates = sim.neighbor_list().update_count();
   sim.step(6);
+  EXPECT_EQ(sim.neighbor_list().update_count(), list_updates);
   for (const Vec3& p : sim.system().positions) {
     EXPECT_TRUE(std::isfinite(p.x));
     EXPECT_TRUE(std::isfinite(p.y));

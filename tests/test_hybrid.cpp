@@ -4,6 +4,7 @@
 // plan balances real vs reciprocal time).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "hybrid/perf_model.hpp"
@@ -195,6 +196,69 @@ TEST(Scheduler, HybridSpeedupGrowsWithSystemSize) {
   const BdStepModel step =
       model_bd_step(host, accs, 500000, box, 6, 5e-3, 16, 22);
   EXPECT_GT(step.speedup(), 2.0);
+}
+
+// One splitting rule: the step model prices exactly the (ξ, r_max, K) the
+// tier's chooser returns, and the hybrid α tuning only ever considers
+// splittings the chooser returns for a pinned cutoff.
+TEST(Scheduler, StepModelPricesTheChosenSplitting) {
+  const Device host{PmePerfModel(westmere_ep()), true};
+  for (std::size_t n : {500u, 4000u, 16000u}) {
+    const double box = box_for_volume_fraction(n, 1.0, 0.2);
+    const PmeParams krylov = choose_pme_params(box, 1.0, 1e-3);
+    const BdStepModel step = model_bd_step(host, {}, n, box, 6, 1e-3,
+                                           /*lambda=*/16,
+                                           /*krylov_iterations=*/6);
+    EXPECT_EQ(step.cpu_only,
+              host.model.t_pme_step(n, box, krylov.rmax, krylov.mesh, 6,
+                                    PmeStepShape{}))
+        << "n=" << n;
+
+    const PmeParams ws = choose_pme_params_wavespace(box, 1.0, 1e-3);
+    PmeStepShape ws_shape;
+    ws_shape.wavespace = true;
+    ws_shape.nearfield_iterations = 6;
+    const BdStepModel wstep =
+        model_bd_step(host, {}, n, box, 6, 1e-3, 16, 6, 256.0, false, 1.0,
+                      /*wavespace=*/true, 6);
+    EXPECT_EQ(wstep.cpu_only,
+              host.model.t_pme_step(n, box, ws.rmax, ws.mesh, 6, ws_shape))
+        << "n=" << n;
+  }
+  const Device acc{PmePerfModel(xeon_phi_knc()), false};
+  const double box = box_for_volume_fraction(100000, 1.0, 0.2);
+  const HybridPlan plan = tune_splitting(host, acc, 100000, box, 6, 1e-3);
+  const PmeParams pinned = choose_pme_params(box, 1.0, 1e-3, plan.rmax);
+  EXPECT_EQ(plan.xi, pinned.xi);
+  EXPECT_EQ(plan.mesh, pinned.mesh);
+  // ... and the plan's cutoff is one of the chooser's own candidates.
+  std::vector<double> grid;
+  sweep_pme_cutoffs(box, 1e-3, 6, [&](const PmeParams& c) {
+    grid.push_back(c.rmax);
+    return 0.0;
+  });
+  EXPECT_NE(std::find(grid.begin(), grid.end(), plan.rmax), grid.end());
+}
+
+// The driver's tier routing chooses each PME tier's splitting once and
+// prices it through the split-taking overload: identical to the
+// overload that chooses the splitting itself.
+TEST(Scheduler, GivenSplittingMatchesChosenSplitting) {
+  const Device host{PmePerfModel(westmere_ep()), true};
+  const std::vector<Device> accs{{PmePerfModel(xeon_phi_knc()), false}};
+  const std::size_t n = 4000;
+  const double box = box_for_volume_fraction(n, 1.0, 0.2);
+  for (const bool ws : {false, true}) {
+    const PmeParams split =
+        ws ? choose_pme_params_wavespace(box, 1.0, 1e-3)
+           : choose_pme_params(box, 1.0, 1e-3);
+    const BdStepModel chosen = model_bd_step(
+        host, accs, n, box, 6, 1e-3, 16, 6, 64.0, true, 0.5, ws, ws ? 6 : 0);
+    const BdStepModel given = model_bd_step(
+        host, accs, n, box, split, 1e-3, 16, 6, 64.0, true, 0.5, ws ? 6 : 0);
+    EXPECT_EQ(given.cpu_only, chosen.cpu_only) << "wavespace " << ws;
+    EXPECT_EQ(given.hybrid, chosen.hybrid) << "wavespace " << ws;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the persistent Verlet neighbor pipeline: the skin-padded
 // NeighborList (rebuild vs O(n) revalidation), the in-place BCSR refresh of
 // the real-space Ewald operator, the allocation-free PME update path, the
-// shared-list steric force, and the amortized real-space perf-model terms.
+// steric force on its own list, and the amortized real-space perf-model terms.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <cmath>
@@ -64,6 +65,51 @@ TEST(NeighborList, MatchesBruteForce) {
   EXPECT_EQ(list.particles(), pos.size());
   EXPECT_EQ(list.build_count(), 1u);
   EXPECT_EQ(list_pairs(list, pos, cutoff),
+            brute_force_pairs(pos, sys.box, cutoff));
+}
+
+// At n = 2000 and a 5.5a padded radius the candidate bound exceeds the
+// enumeration scratch cap many times over, so rows are enumerated in
+// successive windows; the list must not depend on the windowing.
+TEST(NeighborList, ScratchWindowsMatchBruteForce) {
+  Xoshiro256 rng(43);
+  const auto sys = suspension_at_volume_fraction(2000, 0.2, 1.0, rng);
+  const auto pos = sys.wrapped_positions();
+  const double cutoff = 5.0;
+  NeighborList list(sys.box, cutoff, 0.5);
+  list.update(pos);
+  EXPECT_EQ(list_pairs(list, pos, cutoff),
+            brute_force_pairs(pos, sys.box, cutoff));
+  // The retained scratch is capped at 2 MiB: the ~66k stored pairs take
+  // under 4 MiB with vector slack, where an uncapped window over all ~250
+  // candidates per row would alone retain 16 MiB.
+  EXPECT_LT(list.bytes(), std::size_t{8} << 20);
+}
+
+// The chooser's cutoffs at n = 4000, Φ = 0.2: r_max ≈ L/4 leaves three
+// cells per side, so every row's candidate bound is n − 1 and a 2 MiB
+// window holds only 16 rows.  Windows then keep at least 16 rows per
+// thread; the list is the brute-force pair set and bitwise independent of
+// the thread count.
+TEST(NeighborList, WideCutoffWindowsAcrossThreads) {
+  Xoshiro256 rng(44);
+  const auto sys = suspension_at_volume_fraction(4000, 0.2, 1.0, rng);
+  const auto pos = sys.wrapped_positions();
+  const double cutoff = 11.0;
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  NeighborList one(sys.box, cutoff, 0.5);
+  one.update(pos);
+  omp_set_num_threads(4);
+  NeighborList four(sys.box, cutoff, 0.5);
+  four.update(pos);
+  omp_set_num_threads(saved);
+  ASSERT_TRUE(std::ranges::equal(one.row_ptr(), four.row_ptr()));
+  ASSERT_TRUE(std::ranges::equal(one.cols(), four.cols()));
+  const auto d1 = one.pair_displacements(), d4 = four.pair_displacements();
+  for (std::size_t t = 0; t < d1.size(); ++t)
+    for (int c = 0; c < 3; ++c) ASSERT_EQ(d1[t][c], d4[t][c]) << t;
+  EXPECT_EQ(list_pairs(four, pos, cutoff),
             brute_force_pairs(pos, sys.box, cutoff));
 }
 
@@ -498,34 +544,55 @@ TEST(PmeOperator, SymmetricStorageMatchesFullThroughPipeline) {
   }
 }
 
-// ---- Shared-list consumers --------------------------------------------------
+// ---- Steric force -----------------------------------------------------------
 
-TEST(RepulsiveHarmonic, SharedListMatchesPrivatePath) {
+// The steric force enumerates its own 2a list; before, it reused the
+// simulation's PME-cutoff list.  Both lists keep rows sorted ascending and
+// the force applies the same r < 2a filter, so each particle sums the same
+// pairs in the same order: the forces agree bitwise at any thread count.
+TEST(RepulsiveHarmonic, OwnListMatchesSharedListBitwise) {
   Xoshiro256 rng(41);
   // Uniform (uncorrelated) positions so some pairs overlap and the contact
   // force is actually exercised.
-  const double box = 12.0, radius = 1.0;
+  const double box = 12.0, radius = 1.0, k = 125.0;
   std::vector<Vec3> pos(200);
   for (Vec3& p : pos)
     p = {box * rng.next_double(), box * rng.next_double(),
          box * rng.next_double()};
-
-  // Simulation-owned list at the PME cutoff (≥ 2a, so the steric force may
-  // reuse it).
-  NeighborList shared(box, std::min(4.0, 0.49 * box), 0.5);
+  NeighborList shared(box, 5.0, 0.5);
   shared.update(pos);
+  const double cutoff = 2.0 * radius;
+  // The shared-list enumeration the force used to run.
+  auto shared_forces = [&] {
+    std::vector<double> f(3 * pos.size(), 0.0);
+    shared.for_each_neighbor_of_all(
+        pos, cutoff,
+        [&](std::size_t i, std::size_t, const Vec3& rij, double r2) {
+          const double r = std::sqrt(r2);
+          if (r >= cutoff || r == 0.0) return;
+          const double mag = k * (cutoff - r) / r;
+          f[3 * i] += mag * rij.x;
+          f[3 * i + 1] += mag * rij.y;
+          f[3 * i + 2] += mag * rij.z;
+        });
+    return f;
+  };
 
-  const RepulsiveHarmonic force(radius);
-  std::vector<double> f_shared(3 * pos.size(), 0.0),
-      f_private(3 * pos.size(), 0.0);
-  force.add_forces(pos, box, f_shared, &shared);
-  force.add_forces(pos, box, f_private);
-  double sum = 0.0;
-  for (std::size_t k = 0; k < f_shared.size(); ++k) {
-    EXPECT_NEAR(f_shared[k], f_private[k], 1e-12);
-    sum += std::abs(f_shared[k]);
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    const RepulsiveHarmonic force(radius, k);
+    std::vector<double> own(3 * pos.size(), 0.0);
+    force.add_forces(pos, box, own);
+    const std::vector<double> ref = shared_forces();
+    double sum = 0.0;
+    for (std::size_t c = 0; c < own.size(); ++c) {
+      EXPECT_EQ(own[c], ref[c]) << "threads " << threads << " entry " << c;
+      sum += std::abs(own[c]);
+    }
+    EXPECT_GT(sum, 0.0);  // φ = 0.25 guarantees contacts
   }
-  EXPECT_GT(sum, 0.0);  // φ = 0.25 guarantees contacts
+  omp_set_num_threads(saved);
 }
 
 // ---- Perf model -------------------------------------------------------------

@@ -10,7 +10,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/system.hpp"
 #include "ewald/beenakker.hpp"
+#include "hybrid/perf_model.hpp"
 #include "linalg/blas.hpp"
 #include "obs/telemetry.hpp"
 #include "pme/bspline.hpp"
@@ -20,6 +22,7 @@
 #include "pme/params.hpp"
 #include "pme/pme_operator.hpp"
 #include "pme/realspace.hpp"
+#include "pme/validate.hpp"
 
 namespace hbd {
 namespace {
@@ -584,26 +587,107 @@ TEST(Params, TighterTargetGivesLargerMesh) {
   EXPECT_LE(loose.rmax, 0.5 * box);
 }
 
-TEST(Params, ChosenParamsHitTarget) {
-  // End-to-end: parameters chosen for e_p ≈ 1e-3 must deliver ≤ 5e-3.
-  const std::size_t n = 40;
-  const double a = 1.0;
-  const double box = box_for_volume_fraction(n, a, 0.2);
-  const auto pos = random_positions(n, box, 101);
-  const PmeParams pp = choose_pme_params(box, a, 1e-3);
-  PmeOperator pme(pos, box, a, pp);
-
-  std::vector<double> f(3 * n), u_pme(3 * n), u_exact(3 * n);
-  Xoshiro256 rng(102);
-  fill_gaussian(rng, f);
-  pme.apply(f, u_pme);
-  const EwaldParams ep = ewald_params_for_tolerance(box, a, 1e-12);
-  ewald_mobility_apply(pos, box, a, ep, f, u_exact);
-  std::vector<double> diff(3 * n);
-  for (std::size_t i = 0; i < 3 * n; ++i) diff[i] = u_pme[i] - u_exact[i];
-  EXPECT_LT(nrm2(diff) / nrm2(u_exact), 5e-3);
+// The chooser's contract, measured: on random suspensions over the grid
+// n × Φ × ep, the e_p of the chosen parameters against the high-resolution
+// reference stays at or below the target.
+TEST(Params, ChosenParamsMeetTargetOnGrid) {
+  for (const std::size_t n : {64u, 500u, 2000u}) {
+    for (const double phi : {0.1, 0.2, 0.3}) {
+      Xoshiro256 rng(2014);
+      const ParticleSystem sys =
+          suspension_at_volume_fraction(n, phi, 1.0, rng);
+      const std::vector<Vec3> pos = sys.wrapped_positions();
+      for (const double ep : {1e-2, 1e-3, 1e-4}) {
+        const PmeParams pp = choose_pme_params(sys.box, 1.0, ep);
+        const double measured = measure_pme_error(pos, sys.box, 1.0, pp);
+        EXPECT_LE(measured, ep)
+            << "n=" << n << " phi=" << phi << " rmax=" << pp.rmax
+            << " xi=" << pp.xi << " K=" << pp.mesh;
+      }
+    }
+  }
 }
 
+TEST(Params, PinnedCutoffIsHonoured) {
+  const double box = 30.0;
+  EXPECT_EQ(choose_pme_params(box, 1.0, 1e-3, 5.0).rmax, 5.0);
+  EXPECT_EQ(choose_pme_params(box, 2.0, 1e-3, 5.0).rmax, 10.0);
+  // Capped at the minimum-image bound.
+  EXPECT_EQ(choose_pme_params(box, 1.0, 1e-3, 40.0).rmax, 15.0);
+  // A pinned cutoff gets the same (ξ, K) as the unpinned choice at its r_max.
+  const PmeParams free = choose_pme_params(box, 1.0, 1e-3);
+  const PmeParams pinned = choose_pme_params(box, 1.0, 1e-3, free.rmax);
+  EXPECT_EQ(pinned.xi, free.xi);
+  EXPECT_EQ(pinned.mesh, free.mesh);
+}
+
+TEST(Params, ScalesWithRadius) {
+  // Lengths in radii: doubling a and L doubles r_max and halves ξ, with
+  // the same mesh.
+  const PmeParams one = choose_pme_params(25.0, 1.0, 1e-3);
+  const PmeParams two = choose_pme_params(50.0, 2.0, 1e-3);
+  EXPECT_DOUBLE_EQ(two.rmax, 2.0 * one.rmax);
+  EXPECT_DOUBLE_EQ(two.xi, 0.5 * one.xi);
+  EXPECT_EQ(two.mesh, one.mesh);
+}
+
+TEST(Params, FreeCutoffMinimizesModeledStepCost) {
+  // The unpinned cutoff is the argmin of the CPU-only step cost on
+  // westmere_ep() at Φ = 0.2: no pinned cutoff prices cheaper.
+  const double box = box_for_volume_fraction(500, 1.0, 0.2);
+  const std::size_t n = 500;
+  const PmePerfModel model(westmere_ep());
+  auto cost = [&](const PmeParams& p) {
+    return model.t_pme_step(n, box, p.rmax, p.mesh, p.order, PmeStepShape{});
+  };
+  const PmeParams best = choose_pme_params(box, 1.0, 1e-3);
+  EXPECT_GT(best.rmax, 5.0);
+  for (double r = 4.0; r <= 0.5 * box; r += 0.25)
+    EXPECT_GE(cost(choose_pme_params(box, 1.0, 1e-3, r)), cost(best))
+        << "r_max " << r;
+  // Deterministic: a second call returns the identical parameters.
+  const PmeParams again = choose_pme_params(box, 1.0, 1e-3);
+  EXPECT_EQ(again.rmax, best.rmax);
+  EXPECT_EQ(again.xi, best.xi);
+  EXPECT_EQ(again.mesh, best.mesh);
+}
+
+// Wide boxes at tight targets: below some cutoff no mesh up to K = 1024
+// meets the target (at 4a and ep = 1e-4, any box wider than ~160a).  The
+// unpinned sweep skips those cutoffs, and only a pinned one throws.
+TEST(Params, UnreachableCutoffsAreSkipped) {
+  const double box = 250.0, ep = 1e-4;
+  EXPECT_THROW(choose_pme_params(box, 1.0, ep, 4.0), Error);
+  const PmeParams p = choose_pme_params(box, 1.0, ep);
+  EXPECT_GT(p.rmax, 4.0);
+  EXPECT_LE(p.mesh, 1024u);
+  const PmeParams pinned = choose_pme_params(box, 1.0, ep, p.rmax);
+  EXPECT_EQ(pinned.xi, p.xi);
+  EXPECT_EQ(pinned.mesh, p.mesh);
+  // A cost that never stops the sweep visits every reachable cutoff of the
+  // quarter-radius grid, ending at box/2.
+  std::vector<double> visited;
+  sweep_pme_cutoffs(box, ep, 6, [&](const PmeParams& c) {
+    visited.push_back(c.rmax);
+    return 0.0;
+  });
+  ASSERT_FALSE(visited.empty());
+  EXPECT_GT(visited.front(), 4.0);
+  EXPECT_EQ(visited.back(), 0.5 * box);
+  for (std::size_t i = 1; i < visited.size(); ++i)
+    EXPECT_EQ(visited[i] - visited[i - 1], 0.25) << visited[i];
+}
+
+TEST(Params, UnreachableAtEveryCutoffThrows) {
+  // No cutoff up to box/2 = 10a reaches 1e-15 with K <= 1024 (1e-12 needs
+  // r_max = 10a and K = 500 here).
+  EXPECT_NO_THROW(choose_pme_params(20.0, 1.0, 1e-12));
+  EXPECT_THROW(choose_pme_params(20.0, 1.0, 1e-15), Error);
+}
+
+TEST(Params, UncalibratedOrderRejected) {
+  EXPECT_THROW(choose_pme_params(30.0, 1.0, 1e-3, std::nullopt, 5), Error);
+}
 
 // ---- FP32 storage mode ------------------------------------------------------
 

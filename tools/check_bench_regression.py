@@ -5,17 +5,22 @@ Usage:
     check_bench_regression.py --baseline BENCH_realspace.json \
         --candidate build/BENCH_realspace.json [--threshold 0.30] \
         [--metric t_rebuild_s] [--max fp32_ep=5e-3] ...
-    check_bench_regression.py --health health.json --ep-max 5e-3
+    check_bench_regression.py --health health.json --ep-max 1e-3
     check_bench_regression.py --candidate build/BENCH_realspace.json \
         --history BENCH_HISTORY.ndjson [--history-window 5]
 
 Trend: --history gates the candidate's p50s against the *median of the
-last N committed history entries* for the same bench
-(tools/bench_history.py NDJSON) with the same threshold rules — a slow
-creep that stays under the single-baseline threshold each PR still trips
-once the cumulative drift shows against the trend median.  An empty (or
-bench-less) history passes vacuously with a note, so the first run seeds
-the file without ceremony.
+last N committed history entries* for the same bench and the same
+configuration (tools/bench_history.py NDJSON) with the same threshold
+rules — a slow creep that stays under the single-baseline threshold each
+PR still trips once the cumulative drift shows against the trend median.
+The configuration is the entry's "manifest" (seed, particles, box, radius
+and the PME mesh/order/rmax/xi): a change of the measured parameters
+starts a new series, since times taken at another mesh or cutoff (and
+ratios between tiers whose parameters moved) are not a trend of the same
+measurement.  An empty (or bench-less) series passes vacuously with a
+note, so the first run seeds it without ceremony; the --baseline gate
+against the committed report still applies.
 
 Throughput: compares the p50 of each metric between the committed baseline
 report and a freshly measured candidate (both in the shared BENCH_*.json
@@ -48,6 +53,8 @@ Exits non-zero with one line per violation.
 import argparse
 import json
 import sys
+
+from bench_history import entry_from_report
 
 
 def load(path):
@@ -129,14 +136,17 @@ def median(values):
 
 def check_history(args, failures):
     """Trend gate: candidate p50s vs the median of the last N history
-    entries for the same bench (tools/bench_history.py NDJSON).  A creeping
-    regression that stays under the single-baseline threshold each PR still
-    trips here once the drift from the recent median exceeds it."""
+    entries for the same bench and manifest (tools/bench_history.py NDJSON).
+    A creeping regression that stays under the single-baseline threshold
+    each PR still trips here once the drift from the recent median exceeds
+    it."""
     candidate = load(args.candidate)
     bench = candidate.get("bench")
     if not bench:
         sys.exit(f"{args.candidate}: missing bench name")
+    series = entry_from_report(candidate, args.candidate, "")["manifest"]
     entries = []
+    other_configs = 0
     try:
         with open(args.history, encoding="utf-8") as fh:
             for i, line in enumerate(fh):
@@ -146,14 +156,21 @@ def check_history(args, failures):
                     entry = json.loads(line)
                 except json.JSONDecodeError as exc:
                     sys.exit(f"{args.history}:{i + 1}: bad NDJSON: {exc}")
-                if entry.get("bench") == bench:
+                if entry.get("bench") != bench:
+                    continue
+                if entry.get("manifest") == series:
                     entries.append(entry)
+                else:
+                    other_configs += 1
     except OSError as exc:
         sys.exit(f"{args.history}: not readable: {exc}")
     window = entries[-args.history_window:]
+    if other_configs:
+        print(f"  {other_configs} {bench!r} entries measured another "
+              f"configuration; not in this series")
     if not window:
-        print(f"  {args.history}: no history for bench {bench!r} yet — "
-              f"trend gate passes vacuously")
+        print(f"  {args.history}: no history for bench {bench!r} at "
+              f"{series} yet — trend gate passes vacuously")
         return
     keys = sorted(
         k for k in candidate.get("percentiles", {})
