@@ -15,7 +15,6 @@
 #include "core/brownian.hpp"
 #include "core/chebyshev.hpp"
 #include "core/krylov.hpp"
-#include "core/mobility.hpp"
 #include "linalg/blas.hpp"
 #include "pme/pme_operator.hpp"
 #include "pme/realspace.hpp"
@@ -33,7 +32,9 @@ int main() {
   const auto wrapped = sys.wrapped_positions();
   const PmeParams pp = choose_pme_params(sys.box, sys.radius, 1e-3);
   PmeOperator pme(wrapped, sys.box, sys.radius, pp);
-  PmeMobility mob(pme);
+  const BlockApply mob = [&pme](const Matrix& x, Matrix& y) {
+    pme.apply_block(x, y);
+  };
 
   Xoshiro256 rng(777);
   const Matrix z = gaussian_block(rng, 3 * n, lambda);
@@ -77,7 +78,7 @@ int main() {
     KrylovStats kstats;
     const Matrix xk = krylov_sqrt_apply(mob, z, kcfg, &kstats);
 
-    const SpectralBounds bounds = estimate_spectral_bounds(mob, 16);
+    const SpectralBounds bounds = estimate_spectral_bounds(mob, 3 * n, 16);
     ChebyshevConfig ccfg;
     ccfg.tolerance = 1e-3;
     ChebyshevStats cstats;

@@ -22,7 +22,6 @@
 #include "common/precision.hpp"
 #include "core/brownian.hpp"
 #include "core/krylov.hpp"
-#include "core/mobility.hpp"
 #include "ewald/beenakker.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/dense_matrix.hpp"
@@ -284,16 +283,18 @@ int main(int argc, char** argv) {
     const Matrix z = gaussian_block(zrng, 3 * n, kLambda);
 
     Xoshiro256 wave = substream(2024, 1);
-    WaveSpaceBrownianSampler wsampler(pme, kcfg, wave);
-    const double t_wave =
-        time_once([&] { (void)wsampler.sample_block(z, 1.0); });
-    const int nf_iters = wsampler.last_stats().iterations;
+    KrylovStats nf_stats, full_stats;
+    const double t_wave = time_once([&] {
+      (void)sample_wavespace_block(pme, z, 1.0, kcfg, wave, &nf_stats);
+    });
+    const int nf_iters = nf_stats.iterations;
 
-    PmeMobility mob(pme);
-    KrylovBrownianSampler ksampler(mob, kcfg);
-    const double t_krylov =
-        time_once([&] { (void)ksampler.sample_block(z, 1.0); });
-    const int full_iters = ksampler.last_stats().iterations;
+    const double t_krylov = time_once([&] {
+      (void)krylov_sqrt_apply(
+          [&pme](const Matrix& x, Matrix& y) { pme.apply_block(x, y); }, z,
+          kcfg, &full_stats);
+    });
+    const int full_iters = full_stats.iterations;
 
     // Covariance probe of the wave-space sampler (128 samples → the
     // estimator's own relative std is ~12%; the gate bound is generous).

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "ewald/kernel.hpp"
 #include "ewald/rpy.hpp"
+#include "linalg/blas.hpp"
 #include "obs/telemetry.hpp"
 #include "pme/params.hpp"
 
@@ -74,35 +75,31 @@ void MobilityBackend::apply_block(const Matrix& f, Matrix& u) {
 // ---- DenseCholeskyBackend ---------------------------------------------------
 
 DenseCholeskyBackend::DenseCholeskyBackend(std::size_t n, double box,
-                                           double radius, double ewald_tol)
+                                           double radius)
     : n_(n),
       box_(box),
       radius_(radius),
-      ewald_tol_(ewald_tol),
-      params_(ewald_params_for_tolerance(box, radius, ewald_tol)) {
+      params_(ewald_params_for_tolerance(
+          box, radius, tier_default_ep(MobilityTier::dense))) {
   stats_.converged = true;
 }
 
 void DenseCholeskyBackend::rebuild(std::span<const Vec3> wrapped) {
   HBD_CHECK(wrapped.size() == n_);
   HBD_TRACE_SCOPE("ewald.mobility");
-  // Reassemble into the previous matrix's storage: the factor and the old
-  // mobility are released first, so the peak holds one 3n×3n matrix.  A
-  // throwing assembly leaves the backend empty, never half-updated.
+  // Reassemble in place into the previous matrix's storage; the factor is
+  // released first, so the peak holds one 3n×3n matrix.
   sampler_.reset();  // refactored lazily on the next sample
-  Matrix m = mobility_ ? std::move(*mobility_).take_matrix() : Matrix();
-  mobility_.reset();
-  ewald_mobility_dense(wrapped, box_, radius_, params_, m);
-  mobility_.emplace(std::move(m));
+  ewald_mobility_dense(wrapped, box_, radius_, params_, mobility_);
 }
 
 void DenseCholeskyBackend::apply(std::span<const double> f,
                                  std::span<double> u) {
-  mobility_->apply(f, u);
+  gemv(1.0, mobility_, f, 0.0, u);
 }
 
 void DenseCholeskyBackend::apply_block(const Matrix& f, Matrix& u) {
-  mobility_->apply_block(f, u);
+  gemm(false, false, 1.0, mobility_, f, 0.0, u);
 }
 
 Matrix DenseCholeskyBackend::sample_block(const Matrix& z, double two_kbt_dt,
@@ -110,7 +107,7 @@ Matrix DenseCholeskyBackend::sample_block(const Matrix& z, double two_kbt_dt,
   // Cholesky consumes no RNG, so factoring lazily here (after the caller
   // drew z) leaves the trajectory stream's draw sequence untouched —
   // athermal runs simply never pay for the factorization.
-  if (!sampler_) sampler_.emplace(mobility_->matrix());
+  if (!sampler_) sampler_.emplace(mobility_);
   stats_ = {};
   stats_.converged = true;
   return sampler_->sample_block(z, two_kbt_dt);
@@ -125,12 +122,10 @@ std::size_t DenseCholeskyBackend::bytes() const {
 
 PmeBackendBase::PmeBackendBase(std::size_t n, double box, double radius,
                                PmeParams params, KrylovConfig krylov,
-                               std::shared_ptr<NeighborList> nlist,
-                               double declared_ep)
+                               std::shared_ptr<NeighborList> nlist)
     : n_(n),
       box_(box),
       radius_(radius),
-      declared_ep_(declared_ep),
       params_(params),
       krylov_(krylov),
       nlist_(std::move(nlist)) {}
@@ -154,10 +149,12 @@ std::size_t PmeBackendBase::bytes() const { return pme_ ? pme_->bytes() : 0; }
 
 Matrix PmeKrylovBackend::sample_block(const Matrix& z, double two_kbt_dt,
                                       Xoshiro256* /*wave_rng*/) {
-  PmeMobility mob(*pme_);
-  KrylovBrownianSampler sampler(mob, krylov_);
-  Matrix d = sampler.sample_block(z, two_kbt_dt);
-  stats_ = sampler.last_stats();
+  HBD_TRACE_SCOPE("krylov.sample");
+  stats_ = {};
+  Matrix d = krylov_sqrt_apply(
+      [this](const Matrix& x, Matrix& y) { pme_->apply_block(x, y); }, z,
+      krylov_, &stats_);
+  scal(std::sqrt(two_kbt_dt), {d.data(), d.rows() * d.cols()});
   return d;
 }
 
@@ -165,9 +162,9 @@ Matrix PseWavespaceBackend::sample_block(const Matrix& z, double two_kbt_dt,
                                          Xoshiro256* wave_rng) {
   HBD_CHECK_MSG(wave_rng != nullptr,
                 "wavespace backend needs the wave-space RNG substream");
-  WaveSpaceBrownianSampler sampler(*pme_, krylov_, *wave_rng);
-  Matrix d = sampler.sample_block(z, two_kbt_dt);
-  stats_ = sampler.last_stats();
+  stats_ = {};
+  Matrix d = sample_wavespace_block(*pme_, z, two_kbt_dt, krylov_, *wave_rng,
+                                    &stats_);
   HBD_COUNTER_ADD("wavespace.samples", 1);
   HBD_COUNTER_ADD("wavespace.nearfield.iterations", stats_.iterations);
   // Clamped spectral mass is expected at PD-safe splittings and its
@@ -179,9 +176,8 @@ Matrix PseWavespaceBackend::sample_block(const Matrix& z, double two_kbt_dt,
 
 // ---- TeaBackend -------------------------------------------------------------
 
-TeaBackend::TeaBackend(std::size_t n, double box, double radius,
-                       double declared_ep)
-    : n_(n), box_(box), radius_(radius), declared_ep_(declared_ep) {
+TeaBackend::TeaBackend(std::size_t n, double box, double radius)
+    : n_(n), box_(box), radius_(radius) {
   // Hasimoto-corrected periodic self mobility: the lattice sum of the RPY
   // tensor evaluated at the particle itself, the value the Ewald diagonal
   // converges to.
@@ -194,7 +190,7 @@ TeaBackend::TeaBackend(std::size_t n, double box, double radius,
   // Oseen term is conditionally convergent and its minimum-image truncation
   // carries an O(1) error against the periodic mobility.
   eparams_ = ewald_params_for_tolerance(
-      box, radius, std::clamp(0.2 * declared_ep, 1e-6, 1e-2));
+      box, radius, std::clamp(0.2 * kTeaDeclaredEp, 1e-6, 1e-2));
   stats_.converged = true;
 }
 
@@ -205,12 +201,10 @@ void TeaBackend::rebuild(std::span<const Vec3> wrapped) {
 
   // O(n²) pairwise direct Ewald assembly of the periodic RPY mobility at
   // the loose tier tolerance, in place in the previous D's storage (one
-  // 3n×3n matrix at the peak; a throwing assembly leaves d_ empty).  The
-  // analytic Hasimoto h replaces the numerically summed self blocks (they
-  // agree to the assembly tolerance; the analytic value keeps
-  // diag(B Bᵀ) = h exact below).
-  Matrix m = d_ ? std::move(*d_).take_matrix() : Matrix();
-  d_.reset();
+  // 3n×3n matrix at the peak).  The analytic Hasimoto h replaces the
+  // numerically summed self blocks (they agree to the assembly tolerance;
+  // the analytic value keeps diag(B Bᵀ) = h exact below).
+  Matrix& m = d_;
   ewald_mobility_dense(wrapped, box_, radius_, eparams_, m);
   for (std::size_t i = 0; i < n_; ++i)
     for (std::size_t r = 0; r < 3; ++r)
@@ -266,18 +260,16 @@ void TeaBackend::rebuild(std::span<const Vec3> wrapped) {
   const double b2h2 = beta_ * beta_ / (h_ * h_);
   for (std::size_t r = 0; r < d; ++r)
     c_[r] = 1.0 / std::sqrt(1.0 + b2h2 * s[r]);
-
-  d_.emplace(std::move(m));
 }
 
 void TeaBackend::apply(std::span<const double> f, std::span<double> u) {
   HBD_TRACE_SCOPE("tea.apply");
-  d_->apply(f, u);
+  gemv(1.0, d_, f, 0.0, u);
 }
 
 void TeaBackend::apply_block(const Matrix& f, Matrix& u) {
   HBD_TRACE_SCOPE("tea.apply");
-  d_->apply_block(f, u);
+  gemm(false, false, 1.0, d_, f, 0.0, u);
 }
 
 Matrix TeaBackend::sample_block(const Matrix& z, double two_kbt_dt,
@@ -305,8 +297,8 @@ Matrix TeaBackend::sample_block(const Matrix& z, double two_kbt_dt,
 }
 
 std::size_t TeaBackend::bytes() const {
-  const std::size_t d = 3 * n_;
-  return (d_ ? d * d * sizeof(double) : 0) + c_.size() * sizeof(double) +
+  return d_.rows() * d_.cols() * sizeof(double) +
+         c_.size() * sizeof(double) +
          dz_.rows() * dz_.cols() * sizeof(double);
 }
 
@@ -439,25 +431,24 @@ void validate_tier_params(MobilityTier tier, const PmeParams& params) {
 std::unique_ptr<MobilityBackend> make_mobility_backend(
     MobilityTier tier, std::size_t n, double box, double radius,
     const PmeParams& pme_params, const KrylovConfig& krylov,
-    std::shared_ptr<NeighborList> nlist, double declared_ep) {
-  const double ep = declared_ep > 0.0 ? declared_ep : tier_default_ep(tier);
+    std::shared_ptr<NeighborList> nlist) {
   switch (tier) {
     case MobilityTier::dense:
-      return std::make_unique<DenseCholeskyBackend>(n, box, radius, ep);
+      return std::make_unique<DenseCholeskyBackend>(n, box, radius);
     case MobilityTier::tea:
-      return std::make_unique<TeaBackend>(n, box, radius, ep);
+      return std::make_unique<TeaBackend>(n, box, radius);
     case MobilityTier::pme_krylov:
       validate_tier_params(tier, pme_params);
       HBD_CHECK_MSG(nlist != nullptr,
                     "PME tiers need the shared neighbor list");
       return std::make_unique<PmeKrylovBackend>(n, box, radius, pme_params,
-                                                krylov, std::move(nlist), ep);
+                                                krylov, std::move(nlist));
     case MobilityTier::pse_wavespace:
       validate_tier_params(tier, pme_params);
       HBD_CHECK_MSG(nlist != nullptr,
                     "PME tiers need the shared neighbor list");
       return std::make_unique<PseWavespaceBackend>(
-          n, box, radius, pme_params, krylov, std::move(nlist), ep);
+          n, box, radius, pme_params, krylov, std::move(nlist));
   }
   HBD_CHECK_MSG(false, "unknown mobility tier");
   return nullptr;  // unreachable

@@ -14,7 +14,7 @@
 //     Algorithm 2, the default);
 //   * DenseCholeskyBackend— dense Ewald mobility + Cholesky (Algorithm 1).
 //
-// The BD drivers delegate operator construction, deterministic application,
+// The BD driver delegates operator construction, deterministic application,
 // and Brownian sampling to the active backend; TierPolicy maps a caller's
 // ErrorBudget to the cheapest tier whose declared error fits, validated
 // online by the e_p health probes with hysteretic promotion on violation.
@@ -31,7 +31,6 @@
 #include "common/rng.hpp"
 #include "core/brownian.hpp"
 #include "core/krylov.hpp"
-#include "core/mobility.hpp"
 #include "ewald/beenakker.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "pme/pme_operator.hpp"
@@ -57,7 +56,8 @@ MobilityTier parse_mobility_tier(std::string_view name);
 /// backend built by make_mobility_backend with default parameters promises.
 /// TEA's bound is the min-image truncation residual after the Hasimoto
 /// diagonal correction (docs/theory.md §13); the PME tiers inherit the
-/// parameter chooser's e_p target; dense inherits its Ewald tolerance.
+/// parameter chooser's e_p target; dense's doubles as its Ewald truncation
+/// tolerance.
 double tier_default_ep(MobilityTier tier);
 
 /// TEA's declared relative mobility error (the bench gate bound).
@@ -119,11 +119,11 @@ class MobilityBackend {
   KrylovStats stats_;
 };
 
-/// Algorithm 1's engine: dense Ewald-summed RPY mobility + Cholesky.
+/// Algorithm 1's engine: dense Ewald-summed RPY mobility + Cholesky, with
+/// the Ewald sums truncated at tier_default_ep(dense).
 class DenseCholeskyBackend final : public MobilityBackend {
  public:
-  DenseCholeskyBackend(std::size_t n, double box, double radius,
-                       double ewald_tol = 1e-6);
+  DenseCholeskyBackend(std::size_t n, double box, double radius);
 
   MobilityTier tier() const override { return MobilityTier::dense; }
   std::size_t dim() const override { return 3 * n_; }
@@ -133,15 +133,17 @@ class DenseCholeskyBackend final : public MobilityBackend {
   Matrix sample_block(const Matrix& z, double two_kbt_dt,
                       Xoshiro256* wave_rng) override;
   std::size_t bytes() const override;
-  double declared_ep() const override { return ewald_tol_; }
+  double declared_ep() const override {
+    return tier_default_ep(MobilityTier::dense);
+  }
 
-  const Matrix& matrix() const { return mobility_->matrix(); }
+  const Matrix& matrix() const { return mobility_; }
 
  private:
   std::size_t n_;
-  double box_, radius_, ewald_tol_;
+  double box_, radius_;
   EwaldParams params_;
-  std::optional<DenseMobility> mobility_;
+  Matrix mobility_;
   /// Factored lazily on the first sample after a rebuild (athermal runs
   /// never pay for it); Cholesky consumes no RNG, so the deferral does not
   /// perturb the trajectory stream.
@@ -154,8 +156,7 @@ class DenseCholeskyBackend final : public MobilityBackend {
 class PmeBackendBase : public MobilityBackend {
  public:
   PmeBackendBase(std::size_t n, double box, double radius, PmeParams params,
-                 KrylovConfig krylov, std::shared_ptr<NeighborList> nlist,
-                 double declared_ep);
+                 KrylovConfig krylov, std::shared_ptr<NeighborList> nlist);
 
   std::size_t dim() const override { return 3 * n_; }
   void rebuild(std::span<const Vec3> wrapped) override;
@@ -163,12 +164,12 @@ class PmeBackendBase : public MobilityBackend {
   void apply_block(const Matrix& f, Matrix& u) override;
   std::size_t bytes() const override;
   PmeOperator* pme() override { return pme_ ? &*pme_ : nullptr; }
-  double declared_ep() const override { return declared_ep_; }
+  double declared_ep() const override { return tier_default_ep(tier()); }
   const PmeParams& params() const { return params_; }
 
  protected:
   std::size_t n_;
-  double box_, radius_, declared_ep_;
+  double box_, radius_;
   PmeParams params_;
   KrylovConfig krylov_;
   std::shared_ptr<NeighborList> nlist_;
@@ -210,8 +211,7 @@ class PseWavespaceBackend final : public PmeBackendBase {
 /// and no factorization or iteration is ever performed.
 class TeaBackend final : public MobilityBackend {
  public:
-  TeaBackend(std::size_t n, double box, double radius,
-             double declared_ep = kTeaDeclaredEp);
+  TeaBackend(std::size_t n, double box, double radius);
 
   MobilityTier tier() const override { return MobilityTier::tea; }
   std::size_t dim() const override { return 3 * n_; }
@@ -221,7 +221,7 @@ class TeaBackend final : public MobilityBackend {
   Matrix sample_block(const Matrix& z, double two_kbt_dt,
                       Xoshiro256* wave_rng) override;
   std::size_t bytes() const override;
-  double declared_ep() const override { return declared_ep_; }
+  double declared_ep() const override { return kTeaDeclaredEp; }
 
   /// Hasimoto-corrected periodic self mobility h (the TEA diagonal).
   double hasimoto() const { return h_; }
@@ -234,12 +234,12 @@ class TeaBackend final : public MobilityBackend {
 
  private:
   std::size_t n_;
-  double box_, radius_, declared_ep_;
+  double box_, radius_;
   double h_ = 1.0;
   double beta_ = 0.5;
   bool clamped_ = false;
   EwaldParams eparams_;  // loose-tolerance direct-Ewald assembly params
-  std::optional<DenseMobility> d_;  // assembled periodic RPY mobility
+  Matrix d_;               // assembled periodic RPY mobility
   std::vector<double> c_;  // per-index TEA normalizers Ĉ (3n)
   Matrix dz_;              // D·z scratch for sample_block
 };
@@ -318,13 +318,12 @@ PmeParams pme_params_for_tier(MobilityTier tier, double box, double radius,
 /// meshless tiers.
 void validate_tier_params(MobilityTier tier, const PmeParams& params);
 
-/// Builds a backend for `tier`.  PME tiers are validated with
-/// validate_tier_params and share `nlist` (cutoff ≥ params.rmax);
-/// `declared_ep` ≤ 0 uses tier_default_ep(tier).  For the dense tier the
-/// declared error doubles as the Ewald truncation tolerance.
+/// Builds a backend for `tier`, declaring tier_default_ep(tier).  PME tiers
+/// are validated with validate_tier_params and share `nlist` (cutoff ≥
+/// params.rmax); the meshless tiers ignore `pme_params` and `nlist`.
 std::unique_ptr<MobilityBackend> make_mobility_backend(
     MobilityTier tier, std::size_t n, double box, double radius,
     const PmeParams& pme_params, const KrylovConfig& krylov,
-    std::shared_ptr<NeighborList> nlist, double declared_ep = 0.0);
+    std::shared_ptr<NeighborList> nlist);
 
 }  // namespace hbd

@@ -27,7 +27,7 @@ CholeskyBrownianSampler::CholeskyBrownianSampler(const Matrix& mobility)
     : factor_(cholesky_traced(mobility)) {}
 
 Matrix CholeskyBrownianSampler::sample_block(const Matrix& z,
-                                             double two_kbt_dt) {
+                                             double two_kbt_dt) const {
   HBD_CHECK(z.rows() == factor_.rows());
   HBD_TRACE_SCOPE("cholesky.sample");
   Matrix d = z;
@@ -36,26 +36,23 @@ Matrix CholeskyBrownianSampler::sample_block(const Matrix& z,
   return d;
 }
 
-Matrix KrylovBrownianSampler::sample_block(const Matrix& z,
-                                           double two_kbt_dt) {
-  HBD_TRACE_SCOPE("krylov.sample");
-  Matrix d = krylov_sqrt_apply(*op_, z, config_, &stats_);
-  scal(std::sqrt(two_kbt_dt), {d.data(), d.rows() * d.cols()});
-  return d;
-}
-
-Matrix WaveSpaceBrownianSampler::sample_block(const Matrix& z,
-                                              double two_kbt_dt) {
+Matrix sample_wavespace_block(PmeOperator& pme, const Matrix& z,
+                              double two_kbt_dt, const KrylovConfig& config,
+                              Xoshiro256& wave_rng, KrylovStats* stats) {
   HBD_TRACE_SCOPE("wavespace.sample");
-  NearFieldMobility nf(*pme_);
   Matrix d;
   {
     // Near-field M_real^{1/2} z via block Lanczos on the sparse part only.
+    // The PSE kernel's real-space spectrum is nonnegative for every ξ, so
+    // this part is positive definite up to cutoff truncation; the Lanczos
+    // SPD guard (min projected eigenvalue) backstops it.
     HBD_TRACE_SCOPE("wavespace.nearfield");
-    d = krylov_sqrt_apply(nf, z, config_, &stats_);
+    d = krylov_sqrt_apply(
+        [&pme](const Matrix& x, Matrix& y) { pme.apply_real_block(x, y); }, z,
+        config, stats);
   }
   // Far-field sample accumulated on top from the independent wave stream.
-  pme_->sample_recip_block(*wave_rng_, d, /*accumulate=*/true);
+  pme.sample_recip_block(wave_rng, d, /*accumulate=*/true);
   scal(std::sqrt(two_kbt_dt), {d.data(), d.rows() * d.cols()});
   return d;
 }
@@ -89,21 +86,19 @@ double measure_sample_covariance_error(PmeOperator& pme,
   double expected[kProbes];
   for (std::size_t p = 0; p < kProbes; ++p)
     expected[p] = col_dot(x, p, mx, p);
+  const BlockApply full = [&pme](const Matrix& b, Matrix& mb) {
+    pme.apply_block(b, mb);
+  };
   // Accumulate ⟨(xᵀD)²⟩ over blocks·width samples at unit 2·kBT·Δt.
   Xoshiro256 z_rng(seed);
   Xoshiro256 wave_rng = substream(seed, 1);
   double acc[kProbes] = {0.0, 0.0, 0.0};
   for (std::size_t bl = 0; bl < blocks; ++bl) {
     const Matrix z = gaussian_block(z_rng, dim, width);
-    Matrix d;
-    if (method == BrownianMethod::wavespace) {
-      WaveSpaceBrownianSampler sampler(pme, krylov, wave_rng);
-      d = sampler.sample_block(z, 1.0);
-    } else {
-      PmeMobility mob(pme);
-      KrylovBrownianSampler sampler(mob, krylov);
-      d = sampler.sample_block(z, 1.0);
-    }
+    const Matrix d =
+        method == BrownianMethod::wavespace
+            ? sample_wavespace_block(pme, z, 1.0, krylov, wave_rng)
+            : krylov_sqrt_apply(full, z, krylov);
     for (std::size_t j = 0; j < width; ++j)
       for (std::size_t p = 0; p < kProbes; ++p) {
         const double dot = col_dot(x, p, d, j);

@@ -1,7 +1,9 @@
 #include "core/chebyshev.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,9 +15,10 @@
 
 namespace hbd {
 
-SpectralBounds estimate_spectral_bounds(MobilityOperator& op, int iterations,
+SpectralBounds estimate_spectral_bounds(const BlockApply& apply,
+                                        std::size_t dim, int iterations,
                                         std::uint64_t seed) {
-  const std::size_t n = op.dim();
+  const std::size_t n = dim;
   const int m = std::min<int>(iterations, static_cast<int>(n));
   HBD_CHECK(m >= 1);
 
@@ -28,9 +31,12 @@ SpectralBounds estimate_spectral_bounds(MobilityOperator& op, int iterations,
   scal(1.0 / nrm2(q), q);
   v.push_back(q);
 
-  std::vector<double> w(n);
+  // Single-vector products run as n×1 blocks.
+  Matrix vj(n, 1), wj(n, 1);
+  const std::span<double> w{wj.data(), n};
   for (int j = 0; j < m; ++j) {
-    op.apply(v[j], w);
+    std::copy(v[j].begin(), v[j].end(), vj.data());
+    apply(vj, wj);
     if (j > 0) axpy(-beta[j - 1], v[j - 1], w);
     const double a = dot(v[j], w);
     alpha.push_back(a);
@@ -39,7 +45,7 @@ SpectralBounds estimate_spectral_bounds(MobilityOperator& op, int iterations,
     const double b = nrm2(w);
     if (b < 1e-12) break;
     beta.push_back(b);
-    std::vector<double> next = w;
+    std::vector<double> next(w.begin(), w.end());
     scal(1.0 / b, next);
     v.push_back(std::move(next));
   }
@@ -106,13 +112,12 @@ std::vector<double> sqrt_coefficients(const SpectralBounds& bounds,
 
 }  // namespace
 
-Matrix chebyshev_sqrt_apply(MobilityOperator& op, const Matrix& z,
+Matrix chebyshev_sqrt_apply(const BlockApply& apply, const Matrix& z,
                             const SpectralBounds& bounds,
                             const ChebyshevConfig& config,
                             ChebyshevStats* stats) {
-  const std::size_t n = op.dim();
+  const std::size_t n = z.rows();
   const std::size_t s = z.cols();
-  HBD_CHECK(z.rows() == n);
   HBD_CHECK(bounds.max > bounds.min && bounds.min > 0.0);
 
   int terms = 0;
@@ -139,7 +144,7 @@ Matrix chebyshev_sqrt_apply(MobilityOperator& op, const Matrix& z,
   Matrix t_prev = z;              // T_0 Z = Z
   Matrix t_curr(n, s), x(n, s), tmp(n, s);
   // T_1 Z = Ã Z
-  op.apply_block(z, tmp);
+  apply(z, tmp);
   for (std::size_t i = 0; i < total; ++i)
     t_curr.data()[i] = alpha * tmp.data()[i] + beta * z.data()[i];
 
@@ -149,7 +154,7 @@ Matrix chebyshev_sqrt_apply(MobilityOperator& op, const Matrix& z,
                   (c.size() > 1 ? c[1] * t_curr.data()[i] : 0.0);
 
   for (std::size_t k = 2; k < c.size(); ++k) {
-    op.apply_block(t_curr, tmp);
+    apply(t_curr, tmp);
     for (std::size_t i = 0; i < total; ++i) {
       const double next = 2.0 * (alpha * tmp.data()[i] +
                                  beta * t_curr.data()[i]) -

@@ -8,9 +8,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "core/mobility.hpp"
+#include "core/krylov.hpp"
 #include "linalg/dense_matrix.hpp"
 
 namespace hbd {
@@ -21,10 +22,11 @@ struct SpectralBounds {
   double max = 0.0;
 };
 
-/// Estimates [λ_min, λ_max] with `iterations` of (block-size-1) Lanczos plus
-/// safety margins (Chebyshev needs the true spectrum enclosed).
-SpectralBounds estimate_spectral_bounds(MobilityOperator& op,
-                                        int iterations = 20,
+/// Estimates [λ_min, λ_max] of the dim×dim operator `apply` with
+/// `iterations` of (block-size-1) Lanczos plus safety margins (Chebyshev
+/// needs the true spectrum enclosed).
+SpectralBounds estimate_spectral_bounds(const BlockApply& apply,
+                                        std::size_t dim, int iterations = 20,
                                         std::uint64_t seed = 271828);
 
 struct ChebyshevConfig {
@@ -41,7 +43,7 @@ struct ChebyshevStats {
 };
 
 /// X ≈ M^{1/2} Z via the Chebyshev expansion over `bounds` (Z is 3n×s).
-Matrix chebyshev_sqrt_apply(MobilityOperator& op, const Matrix& z,
+Matrix chebyshev_sqrt_apply(const BlockApply& apply, const Matrix& z,
                             const SpectralBounds& bounds,
                             const ChebyshevConfig& config = {},
                             ChebyshevStats* stats = nullptr);

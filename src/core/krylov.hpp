@@ -11,12 +11,18 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
-#include "core/mobility.hpp"
 #include "linalg/dense_matrix.hpp"
 
 namespace hbd {
+
+/// Y = M X for a row-major 3n×s block X — the only access the matrix-free
+/// square roots (Krylov here, Chebyshev in core/chebyshev.hpp) need to an
+/// SPD mobility.  Build it where it is used (a lambda over the operator's
+/// block apply), so it never outlives an operator rebuild.
+using BlockApply = std::function<void(const Matrix& x, Matrix& y)>;
 
 struct KrylovConfig {
   double tolerance = 1e-2;  ///< relative-change stopping criterion (e_k)
@@ -40,11 +46,12 @@ struct KrylovStats {
   double min_projected_eigenvalue = 0.0;
 };
 
-/// Returns X ≈ M^{1/2} Z (Z is 3n×s, row-major).  Throws a
+/// Returns X ≈ M^{1/2} Z (Z is 3n×s, row-major; `apply` is M on blocks of
+/// Z's shape).  Throws a
 /// NumericalException (obs/health.hpp) if the projected matrix loses
 /// positive semidefiniteness beyond roundoff or the iterate turns
 /// NaN/Inf — with the per-iteration convergence series attached.
-Matrix krylov_sqrt_apply(MobilityOperator& op, const Matrix& z,
+Matrix krylov_sqrt_apply(const BlockApply& apply, const Matrix& z,
                          const KrylovConfig& config = {},
                          KrylovStats* stats = nullptr);
 

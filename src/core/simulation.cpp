@@ -16,31 +16,17 @@ namespace hbd {
 
 namespace {
 
-/// Fills the run fields of a manifest shared by both drivers.
-void fill_run_fields(obs::RunManifest& m, const BdConfig& config,
-                     const ParticleSystem& system) {
-  m.seed = config.seed;
-  m.dt = config.dt;
-  m.kbt = config.kbt;
-  m.mu0 = config.mu0;
-  m.lambda_rpy = config.lambda_rpy;
-  m.particles = system.size();
-  m.box = system.box;
-  m.radius = system.radius;
-}
-
-/// One propagation step shared by both drivers:
-/// r += μ0·(M̃ f)·Δt + d, with d the pre-sampled Brownian displacement.
-/// `neighbors` is the simulation-owned list of the PME operator (nullptr
-/// for the dense driver); it is revalidated only while the backend has a
-/// mesh — the meshless tiers never read it, and the force fields keep their
-/// own lists.  The wrapped/force/velocity buffers are caller-owned scratch
-/// so steady-state stepping allocates nothing.
+/// One propagation step: r += μ0·(M̃ f)·Δt + d, with d the pre-sampled
+/// Brownian displacement.  `neighbors` is the simulation-owned list of the
+/// PME operator; it is revalidated only while the backend has a mesh — the
+/// meshless tiers never read it, and the force fields keep their own lists.
+/// The wrapped/force/velocity buffers are caller-owned scratch so
+/// steady-state stepping allocates nothing.
 void propagate(ParticleSystem& system,
                const std::shared_ptr<const ForceField>& forces,
                const BdConfig& config, MobilityBackend& mobility,
                const Matrix& displacements, std::size_t column,
-               NeighborList* neighbors, std::vector<Vec3>& wrapped,
+               NeighborList& neighbors, std::vector<Vec3>& wrapped,
                std::vector<double>& f, std::vector<double>& u) {
   HBD_TRACE_SCOPE("bd.propagate");
   const std::size_t n = system.size();
@@ -50,9 +36,9 @@ void propagate(ParticleSystem& system,
   }
   f.assign(3 * n, 0.0);
   u.assign(3 * n, 0.0);
-  if (neighbors && mobility.pme() != nullptr) {
+  if (mobility.pme() != nullptr) {
     HBD_TRACE_SCOPE("bd.neighbor");
-    neighbors->update(wrapped);
+    neighbors.update(wrapped);
   }
   if (forces) {
     HBD_TRACE_SCOPE("bd.forces");
@@ -75,72 +61,6 @@ void propagate(ParticleSystem& system,
 }
 
 }  // namespace
-
-// ---- Algorithm 1: conventional Ewald BD ------------------------------------
-
-EwaldBdSimulation::EwaldBdSimulation(ParticleSystem system,
-                                     std::shared_ptr<const ForceField> forces,
-                                     BdConfig config, double ewald_tol)
-    : system_(std::move(system)),
-      forces_(std::move(forces)),
-      config_(config),
-      rng_(config.seed),
-      backend_(system_.size(), system_.box, system_.radius, ewald_tol) {
-  HBD_CHECK(config_.lambda_rpy >= 1);
-}
-
-void EwaldBdSimulation::rebuild() {
-  HBD_TRACE_SCOPE("bd.rebuild");
-  system_.wrapped_positions(wrapped_);
-  backend_.rebuild(wrapped_);
-  if (config_.kbt == 0.0) {
-    displacements_ = Matrix(3 * system_.size(), config_.lambda_rpy);
-  } else {
-    HBD_TRACE_SCOPE("bd.sample");
-    // The z block is drawn first; the backend's Cholesky factorization is
-    // lazy and consumes no RNG, so the draw sequence matches the historical
-    // factor-then-draw ordering bit for bit.
-    const Matrix z =
-        gaussian_block(rng_, 3 * system_.size(), config_.lambda_rpy);
-    displacements_ = backend_.sample_block(
-        z, 2.0 * config_.kbt * config_.mu0 * config_.dt, nullptr);
-  }
-  block_cursor_ = 0;
-  HBD_COUNTER_ADD("bd.rebuilds", 1);
-  HBD_GAUGE_SET("bd.mobility_bytes", mobility_bytes());
-}
-
-void EwaldBdSimulation::step(std::size_t nsteps) {
-  for (std::size_t s = 0; s < nsteps; ++s) {
-    HBD_TRACE_SCOPE("bd.step");
-    [[maybe_unused]] const Timer step_timer;
-    if (block_cursor_ == 0 || block_cursor_ >= config_.lambda_rpy) rebuild();
-    propagate(system_, forces_, config_, backend_, displacements_,
-              block_cursor_, /*neighbors=*/nullptr, wrapped_, forces_scratch_,
-              velocity_scratch_);
-    ++block_cursor_;
-    ++steps_;
-    HBD_COUNTER_ADD("bd.steps", 1);
-    HBD_HISTOGRAM_OBSERVE("bd.step.seconds", step_timer.seconds());
-  }
-}
-
-std::size_t EwaldBdSimulation::mobility_bytes() const {
-  const std::size_t d = 3 * system_.size();
-  // Dense mobility + Cholesky factor + displacement block.
-  return 2 * d * d * sizeof(double) +
-         d * config_.lambda_rpy * sizeof(double);
-}
-
-obs::RunManifest EwaldBdSimulation::manifest() const {
-  obs::RunManifest m = obs::RunManifest::build_info();
-  fill_run_fields(m, config_, system_);
-  m.brownian_method = "cholesky";
-  m.mobility_tier = mobility_tier_name(MobilityTier::dense);
-  return m;
-}
-
-// ---- Algorithm 2: matrix-free BD --------------------------------------------
 
 MatrixFreeBdSimulation::MatrixFreeBdSimulation(
     ParticleSystem system, std::shared_ptr<const ForceField> forces,
@@ -248,7 +168,14 @@ bool MatrixFreeBdSimulation::write_roofline_json(const std::string& path) {
 
 obs::RunManifest MatrixFreeBdSimulation::manifest() const {
   obs::RunManifest m = obs::RunManifest::build_info();
-  fill_run_fields(m, config_, system_);
+  m.seed = config_.seed;
+  m.dt = config_.dt;
+  m.kbt = config_.kbt;
+  m.mu0 = config_.mu0;
+  m.lambda_rpy = config_.lambda_rpy;
+  m.particles = system_.size();
+  m.box = system_.box;
+  m.radius = system_.radius;
   m.mesh = pme_params_.mesh;
   m.order = pme_params_.order;
   m.rmax = pme_params_.rmax;
@@ -261,9 +188,14 @@ obs::RunManifest MatrixFreeBdSimulation::manifest() const {
   // 1.0 until the operator exists (every row colored / no hybrid split).
   const PmeOperator* op = pme();
   m.colored_fraction = op ? op->realspace().colored_fraction() : 1.0;
-  m.brownian_method = brownian_method_name(pme_params_.brownian);
+  const MobilityTier active = backend_ ? tier() : native_tier_;
+  // The dense tier factors its mobility; pme_params_ keeps describing the
+  // PME splitting the run returns to.
+  m.brownian_method = active == MobilityTier::dense
+                          ? "cholesky"
+                          : brownian_method_name(pme_params_.brownian);
   m.ewald_kernel = ewald_kernel_name(pme_params_.kernel);
-  m.mobility_tier = mobility_tier_name(backend_ ? tier() : native_tier_);
+  m.mobility_tier = mobility_tier_name(active);
   m.tier_switches = tier_switches_;
   m.error_budget = error_budget_;
   m.rng_stream_trajectory = kTrajectoryStream;
@@ -492,7 +424,7 @@ void MatrixFreeBdSimulation::step_once() {
   }
   if (block_cursor_ == 0 || block_cursor_ >= config_.lambda_rpy) rebuild();
   propagate(system_, forces_, config_, *backend_, displacements_,
-            block_cursor_, nlist_.get(), wrapped_, forces_scratch_,
+            block_cursor_, *nlist_, wrapped_, forces_scratch_,
             velocity_scratch_);
   if constexpr (obs::kEnabled) guard_step();
   ++block_cursor_;

@@ -1,13 +1,16 @@
-// The two BD drivers of the paper:
+// The BD driver.  MatrixFreeBdSimulation runs both of the paper's
+// algorithms as fidelity tiers of one MobilityBackend (core/backend.hpp):
 //
-//   * EwaldBdSimulation      — Algorithm 1 (conventional): dense Ewald
-//     mobility matrix + Cholesky Brownian displacements;
-//   * MatrixFreeBdSimulation — Algorithm 2 (the paper's contribution): PME
-//     mobility operator + block Krylov Brownian displacements.
+//   * Algorithm 2 (the paper's contribution, the default): PME mobility
+//     operator + block Krylov Brownian displacements — the tier implied by
+//     the constructor's PmeParams;
+//   * Algorithm 1 (conventional): dense Ewald mobility matrix + Cholesky
+//     Brownian displacements — set_tier(MobilityTier::dense).
 //
-// Both propagate r(t+Δt) = r(t) + μ0 M̃ f Δt + g with ⟨g gᵀ⟩ = 2 kB T μ0 M̃ Δt
-// (Ermak–McCammon without the divergence term, which vanishes for RPY), and
-// both hold the mobility fixed for λ_RPY consecutive steps.
+// Every tier propagates r(t+Δt) = r(t) + μ0 M̃ f Δt + g with
+// ⟨g gᵀ⟩ = 2 kB T μ0 M̃ Δt (Ermak–McCammon without the divergence term,
+// which vanishes for RPY), and holds the mobility fixed for λ_RPY
+// consecutive steps.
 #pragma once
 
 #include <map>
@@ -23,7 +26,6 @@
 #include "core/brownian.hpp"
 #include "core/forces.hpp"
 #include "core/system.hpp"
-#include "ewald/beenakker.hpp"
 #include "hybrid/scheduler.hpp"
 #include "obs/drift.hpp"
 #include "obs/flight.hpp"
@@ -34,51 +36,14 @@
 
 namespace hbd {
 
-/// Parameters shared by both drivers.  Reduced units: the defaults make the
-/// bare diffusion coefficient D0 = kB T μ0 = 1.
+/// Parameters of the BD driver.  Reduced units: the defaults make the bare
+/// diffusion coefficient D0 = kB T μ0 = 1.
 struct BdConfig {
   double dt = 1e-4;            ///< time step
   double kbt = 1.0;            ///< thermal energy kB T
   double mu0 = 1.0;            ///< single-particle mobility 1/(6πηa)
   std::size_t lambda_rpy = 16; ///< mobility update interval (steps)
   std::uint64_t seed = 12345;  ///< RNG seed (deterministic trajectories)
-};
-
-class EwaldBdSimulation {
- public:
-  /// `ewald_tol` controls the truncation accuracy of the dense Ewald sums.
-  EwaldBdSimulation(ParticleSystem system,
-                    std::shared_ptr<const ForceField> forces, BdConfig config,
-                    double ewald_tol = 1e-6);
-
-  void step(std::size_t nsteps = 1);
-
-  const ParticleSystem& system() const { return system_; }
-  double time() const { return static_cast<double>(steps_) * config_.dt; }
-  std::size_t steps_taken() const { return steps_; }
-  /// Bytes held by the dense mobility representation (Fig. 7a).
-  std::size_t mobility_bytes() const;
-  /// Run-provenance manifest (build info + BdConfig + system; PME zero).
-  obs::RunManifest manifest() const;
-
- private:
-  void rebuild();
-
-  ParticleSystem system_;
-  std::shared_ptr<const ForceField> forces_;
-  BdConfig config_;
-  Xoshiro256 rng_;
-
-  /// The dense tier as a MobilityBackend: Ewald matrix + lazy Cholesky.
-  DenseCholeskyBackend backend_;
-  Matrix displacements_;        // 3n×λ block of Brownian displacements
-  std::size_t block_cursor_ = 0;
-  std::size_t steps_ = 0;
-
-  // Per-step scratch (wrapped positions, forces, velocities), allocated once.
-  std::vector<Vec3> wrapped_;
-  std::vector<double> forces_scratch_;
-  std::vector<double> velocity_scratch_;
 };
 
 class MatrixFreeBdSimulation {
@@ -126,7 +91,8 @@ class MatrixFreeBdSimulation {
   const MobilityBackend& backend() const { return *backend_; }
 
   /// Forces a specific tier: the backend is swapped immediately and the
-  /// next step resamples the Brownian block on it.  Disables TierPolicy
+  /// next step resamples the Brownian block on it.  set_tier(dense) runs the
+  /// paper's Algorithm 1 (dense Ewald at tier_default_ep(dense) + Cholesky).  Disables TierPolicy
   /// routing (a forced tier is never overridden) until set_error_budget()
   /// re-enables it.  The trajectory RNG keeps drawing the same z blocks on
   /// the trajectory stream, so forcing the native tier is a no-op.
@@ -161,8 +127,9 @@ class MatrixFreeBdSimulation {
   const obs::HealthMonitor& health() const { return health_; }
 
   /// Run-provenance manifest of this simulation (build info + BdConfig +
-  /// PmeParams + system size) — embedded in the health report and suitable
-  /// for checkpoints.
+  /// PmeParams + system size + active tier; brownian_method is "cholesky"
+  /// while the dense tier is active) — embedded in the health report and
+  /// suitable for checkpoints.
   obs::RunManifest manifest() const;
 
   /// Writes the layer-7 roofline/drift evidence bundle ("hbd.roofline.v1":

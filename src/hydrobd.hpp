@@ -30,7 +30,6 @@
 #include "fft/fft.hpp"
 
 #include "sparse/bcsr3.hpp"
-#include "sparse/csr.hpp"
 
 #include "ewald/beenakker.hpp"
 #include "ewald/rpy.hpp"
@@ -50,7 +49,6 @@
 #include "core/diffusion.hpp"
 #include "core/forces.hpp"
 #include "core/krylov.hpp"
-#include "core/mobility.hpp"
 #include "core/rdf.hpp"
 #include "core/simulation.hpp"
 #include "core/system.hpp"

@@ -55,7 +55,6 @@ void PmeOperator::update(std::span<const Vec3> pos) {
   // influence table, FFT plans, and mesh/batch buffers depend only on the
   // (fixed) mesh and box and are untouched.
   HBD_TRACE_SCOPE("pme.update");
-  ++generation_;
   {
     HBD_TRACE_SCOPE("pme.update.realspace");
     real_.refresh(pos);

@@ -111,12 +111,6 @@ class PmeOperator {
   double box() const { return box_; }
   double radius() const { return radius_; }
 
-  /// Monotone rebuild counter: incremented by every update().  Mobility
-  /// views (NearFieldMobility/PmeMobility) capture it at construction and
-  /// assert it unchanged on every apply, so a view constructed against one
-  /// operator state cannot silently be applied after a rebuild.
-  std::uint64_t generation() const { return generation_; }
-
   /// u = M̃ f for one interleaved 3n vector.
   void apply(std::span<const double> f, std::span<double> u);
 
@@ -240,7 +234,6 @@ class PmeOperator {
 
   PhaseTimers timers_;
   ApplyCounts counts_;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace hbd

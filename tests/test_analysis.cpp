@@ -105,7 +105,7 @@ TEST(RpyPoly, SymmetricInRadii) {
   EXPECT_DOUBLE_EQ(a.g, b.g);
 }
 
-TEST(RpyPoly, DenseMobilitySpdForRandomRadii) {
+TEST(RpyPoly, DenseMatrixSpdForRandomRadii) {
   Xoshiro256 rng(9);
   const double box = 24.0;
   std::vector<Vec3> pos(25);

@@ -16,7 +16,6 @@
 #include "core/backend.hpp"
 #include "core/checkpoint.hpp"
 #include "core/forces.hpp"
-#include "core/mobility.hpp"
 #include "core/simulation.hpp"
 #include "core/system.hpp"
 #include "obs/flight.hpp"
@@ -171,8 +170,11 @@ TEST(BackendGolden, WavespaceTrajectoryBitwise) {
 
 TEST(BackendGolden, DenseTrajectoryBitwise) {
   ParticleSystem sys = golden_system(32);
+  const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
   auto forces = std::make_shared<RepulsiveHarmonic>(1.0);
-  EwaldBdSimulation sim(std::move(sys), forces, golden_config(), 1e-6);
+  MatrixFreeBdSimulation sim(std::move(sys), forces, golden_config(), pme,
+                             1e-2);
+  sim.set_tier(MobilityTier::dense);  // Algorithm 1
   sim.step(10);
   EXPECT_EQ(position_hash(sim.system()), 0x5202d1809718d8e9ull);
 }
@@ -207,6 +209,22 @@ TEST(BackendTier, ForcedTeaRunsWithoutPme) {
   EXPECT_NE(sim.pme(), nullptr);
   EXPECT_EQ(sim.manifest().mobility_tier, "pme_krylov");
   EXPECT_EQ(sim.manifest().tier_switches, 2u);
+}
+
+TEST(BackendTier, ForcedDenseManifestSaysCholesky) {
+  ParticleSystem sys = golden_system(16);
+  const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
+  MatrixFreeBdSimulation sim(std::move(sys), nullptr, golden_config(), pme,
+                             1e-2);
+  EXPECT_EQ(sim.manifest().brownian_method, "krylov");
+  sim.set_tier(MobilityTier::dense);
+  sim.step(1);
+  EXPECT_EQ(sim.manifest().brownian_method, "cholesky");
+  EXPECT_EQ(sim.manifest().mobility_tier, "dense");
+  // Back on the native tier the manifest describes the PME sampler again.
+  sim.set_tier(MobilityTier::pme_krylov);
+  EXPECT_EQ(sim.manifest().brownian_method, "krylov");
+  EXPECT_EQ(sim.manifest().mobility_tier, "pme_krylov");
 }
 
 TEST(BackendTier, ForcingNativeTierIsNoop) {
@@ -349,25 +367,6 @@ TEST(BackendFactory, ParamsForTierEnforcePairing) {
   EXPECT_EQ(pw.brownian, BrownianMethod::wavespace);
   EXPECT_EQ(pw.kernel, EwaldKernel::pse);
   EXPECT_THROW(pme_params_for_tier(MobilityTier::tea, box, 1.0, 1e-3), Error);
-}
-
-// ---- Stale-view hazard ------------------------------------------------------
-
-TEST(MobilityView, StaleViewAssertsAfterRebuild) {
-  ParticleSystem sys = golden_system(16);
-  const std::vector<Vec3> wrapped = wrapped_of(sys);
-  PmeOperator pme(wrapped, sys.box, sys.radius,
-                  choose_pme_params(sys.box, 1.0, 1e-3));
-  PmeMobility mob(pme);
-  const std::size_t d = 3 * sys.size();
-  Matrix x(d, 1), y(d, 1);
-  EXPECT_NO_THROW(mob.apply_block(x, y));
-  pme.update(wrapped);  // rebuild invalidates every outstanding view
-  EXPECT_THROW(mob.apply_block(x, y), Error);
-  NearFieldMobility near(pme);
-  EXPECT_NO_THROW(near.apply_block(x, y));
-  pme.update(wrapped);
-  EXPECT_THROW(near.apply_block(x, y), Error);
 }
 
 // ---- Checkpoint v3 ----------------------------------------------------------

@@ -165,10 +165,18 @@ Matrix rpy_mobility_for_test(std::size_t n, std::uint64_t seed) {
   return rpy_mobility_dense(sys.positions, 1.0);
 }
 
+/// Y = M X through the explicit matrix: the block apply the square roots
+/// take (`m` must outlive the callable).
+BlockApply dense_apply(const Matrix& m) {
+  return [&m](const Matrix& x, Matrix& y) {
+    gemm(false, false, 1.0, m, x, 0.0, y);
+  };
+}
+
 TEST(Krylov, MatchesDenseSqrtmTightTolerance) {
   const std::size_t n = 20;
   const Matrix m = rpy_mobility_for_test(n, 11);
-  DenseMobility mob{Matrix(m)};
+  const BlockApply mob = dense_apply(m);
   Xoshiro256 rng(12);
   const Matrix z = gaussian_block(rng, 3 * n, 4);
 
@@ -189,7 +197,7 @@ TEST(Krylov, MatchesDenseSqrtmTightTolerance) {
 TEST(Krylov, LooseToleranceFewerIterations) {
   const std::size_t n = 30;
   const Matrix m = rpy_mobility_for_test(n, 21);
-  DenseMobility mob{Matrix(m)};
+  const BlockApply mob = dense_apply(m);
   Xoshiro256 rng(22);
   const Matrix z = gaussian_block(rng, 3 * n, 8);
 
@@ -211,7 +219,7 @@ TEST(Krylov, LooseToleranceFewerIterations) {
 TEST(Krylov, SingleVectorWorks) {
   const std::size_t n = 15;
   const Matrix m = rpy_mobility_for_test(n, 31);
-  DenseMobility mob{Matrix(m)};
+  const BlockApply mob = dense_apply(m);
   Xoshiro256 rng(32);
   const Matrix z = gaussian_block(rng, 3 * n, 1);
   KrylovConfig cfg;
@@ -220,7 +228,7 @@ TEST(Krylov, SingleVectorWorks) {
   // Check ⟨x, x⟩ = ⟨z, M z⟩ (property of the square root).
   std::vector<double> zv(3 * n), mz(3 * n);
   for (std::size_t i = 0; i < 3 * n; ++i) zv[i] = z(i, 0);
-  mob.apply(zv, mz);
+  gemv(1.0, m, zv, 0.0, mz);
   double xx = 0.0;
   for (std::size_t i = 0; i < 3 * n; ++i) xx += x(i, 0) * x(i, 0);
   EXPECT_NEAR(xx, dot(zv, mz), 1e-6 * std::abs(xx));
@@ -230,7 +238,7 @@ TEST(Krylov, IdentityOperatorConvergesImmediately) {
   const std::size_t d = 30;
   Matrix eye(d, d);
   for (std::size_t i = 0; i < d; ++i) eye(i, i) = 1.0;
-  DenseMobility mob{std::move(eye)};
+  const BlockApply mob = dense_apply(eye);
   Xoshiro256 rng(41);
   const Matrix z = gaussian_block(rng, d, 3);
   KrylovConfig cfg;
@@ -275,18 +283,17 @@ TEST(BrownianSampler, KrylovAndCholeskyAgreeInDistribution) {
   // ‖X‖² has expectation tr(M)·2kBTΔt for both.
   const std::size_t n = 12;
   const Matrix m = rpy_mobility_for_test(n, 61);
-  DenseMobility mob{Matrix(m)};
+  const BlockApply mob = dense_apply(m);
   CholeskyBrownianSampler chol(m);
   KrylovConfig cfg;
   cfg.tolerance = 1e-10;
-  KrylovBrownianSampler kry(mob, cfg);
   Xoshiro256 rng(62);
   double sum_c = 0.0, sum_k = 0.0;
   const int reps = 200;
   for (int it = 0; it < reps; ++it) {
     const Matrix z = gaussian_block(rng, 3 * n, 1);
     const Matrix dc = chol.sample_block(z, 1.0);
-    const Matrix dk = kry.sample_block(z, 1.0);
+    const Matrix dk = krylov_sqrt_apply(mob, z, cfg);
     for (std::size_t i = 0; i < 3 * n; ++i) {
       sum_c += dc(i, 0) * dc(i, 0);
       sum_k += dk(i, 0) * dk(i, 0);
@@ -341,9 +348,10 @@ TEST(BdIntegration, FreeDiffusionMatchesEinstein) {
 }
 
 TEST(BdIntegration, DenseAndMatrixFreeStatisticallyConsistent) {
-  // Same system, same seeds: both drivers draw from (numerically different
-  // but statistically identical) N(0, 2kBTΔtM).  Compare ⟨MSD⟩ over a short
-  // run within a generous statistical band.
+  // Same system, same seeds: the dense tier (Algorithm 1) and the PME tier
+  // (Algorithm 2) draw from (numerically different but statistically
+  // identical) N(0, 2kBTΔtM).  Compare ⟨MSD⟩ over a short run within a
+  // generous statistical band.
   auto make_system = [] {
     Xoshiro256 rng(81);
     return suspension_at_volume_fraction(24, 0.1, 1.0, rng);
@@ -354,8 +362,9 @@ TEST(BdIntegration, DenseAndMatrixFreeStatisticallyConsistent) {
   cfg.lambda_rpy = 4;
   cfg.seed = 82;
 
-  EwaldBdSimulation dense(make_system(), forces, cfg, 1e-5);
   const PmeParams pme = choose_pme_params(make_system().box, 1.0, 1e-4);
+  MatrixFreeBdSimulation dense(make_system(), forces, cfg, pme, 1e-4);
+  dense.set_tier(MobilityTier::dense);
   MatrixFreeBdSimulation mf(make_system(), forces, cfg, pme, 1e-4);
 
   MsdRecorder rd, rm;

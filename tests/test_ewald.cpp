@@ -142,7 +142,7 @@ TEST(Rpy, OverlapLimitAtZeroDistanceIsSelfMobility) {
   EXPECT_NEAR(c.g, 0.0, 1e-10);
 }
 
-TEST(Rpy, DenseMobilitySymmetricPositiveDefinite) {
+TEST(Rpy, DenseMatrixSymmetricPositiveDefinite) {
   const double a = 1.0, box = 30.0;
   const auto pos = random_positions(20, box, 11, 2.1, a);
   const Matrix m = rpy_mobility_dense(pos, a);
@@ -262,7 +262,7 @@ TEST(Ewald, PairTensorPeriodicInBox) {
   for (int t = 0; t < 9; ++t) EXPECT_NEAR(t0[t], t1[t], 1e-12);
 }
 
-TEST(Ewald, DenseMobilitySymmetricSpd) {
+TEST(Ewald, DenseMatrixSymmetricSpd) {
   const double a = 1.0, box = 14.0;
   const auto pos = random_positions(12, box, 29, 2.1, a);
   const EwaldParams p = ewald_params_for_tolerance(box, a, 1e-8);

@@ -120,6 +120,7 @@ TEST(BdEdge, LambdaOneRebuildsEveryStep) {
 }
 
 TEST(BdEdge, EwaldDriverDeterministic) {
+  // The dense tier (Algorithm 1) is deterministic for a fixed seed.
   auto run = [] {
     Xoshiro256 rng(21);
     ParticleSystem sys = suspension_at_volume_fraction(8, 0.1, 1.0, rng);
@@ -127,9 +128,11 @@ TEST(BdEdge, EwaldDriverDeterministic) {
     cfg.dt = 1e-4;
     cfg.lambda_rpy = 4;
     cfg.seed = 5;
-    EwaldBdSimulation sim(std::move(sys),
-                          std::make_shared<RepulsiveHarmonic>(1.0), cfg,
-                          1e-5);
+    const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-2);
+    MatrixFreeBdSimulation sim(std::move(sys),
+                               std::make_shared<RepulsiveHarmonic>(1.0), cfg,
+                               pme, 1e-2);
+    sim.set_tier(MobilityTier::dense);
     sim.step(6);
     return sim.system().positions;
   };
@@ -153,8 +156,11 @@ TEST(BdEdge, MobilityBytesReported) {
   mf.step(1);
   EXPECT_GT(mf.mobility_bytes(), 1000u);
 
-  EwaldBdSimulation dense(sys, nullptr, cfg, 1e-4);
-  // Dense representation: 2·(3n)²·8 bytes plus the displacement block.
+  MatrixFreeBdSimulation dense(sys, nullptr, cfg,
+                               choose_pme_params(box, 1.0, 1e-2), 1e-2);
+  dense.set_tier(MobilityTier::dense);
+  dense.step(1);
+  // Dense representation: mobility + Cholesky factor, 2·(3n)²·8 bytes.
   const std::size_t d = 3 * sys.size();
   EXPECT_GE(dense.mobility_bytes(), 2 * d * d * 8);
 }

@@ -631,29 +631,38 @@ TEST(Flight, RngStateRoundTripResumesIdenticalStream) {
 TEST(Flight, InjectedFailureDumpsBundleAndReplaysBitwise) {
   if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   const std::string path = temp_path("bundle_inject.json");
-  {
-    MatrixFreeBdSimulation sim = make_sim(64, /*seed=*/9, /*with_forces=*/true);
-    sim.enable_flight({path, /*depth=*/16});
-    sim.set_inject_step(11);  // anchor at the step-8 rebuild, then crash
-    EXPECT_THROW(sim.step(16), NumericalException);
-    EXPECT_EQ(sim.steps_taken(), 11u);
-    ASSERT_NE(sim.flight(), nullptr);
-    EXPECT_TRUE(sim.flight()->has_failure());
-  }
-  const FlightBundle bundle = load_flight_bundle(path);
-  EXPECT_EQ(bundle.snapshot_step, 8u);
-  EXPECT_TRUE(bundle.has_failure);
-  EXPECT_EQ(bundle.failure_phase, "inject");
-  EXPECT_EQ(bundle.failure_step, 11u);
-  ASSERT_FALSE(bundle.records.empty());
-  EXPECT_EQ(bundle.records.back().step, 10u);
+  // The native PME tier (forcing it is a no-op) plus the two meshless
+  // tiers, dense being the paper's Algorithm 1: every tier's bundle must
+  // replay through the one driver.
+  for (const MobilityTier tier :
+       {MobilityTier::pme_krylov, MobilityTier::tea, MobilityTier::dense}) {
+    SCOPED_TRACE(mobility_tier_name(tier));
+    {
+      MatrixFreeBdSimulation sim =
+          make_sim(64, /*seed=*/9, /*with_forces=*/true);
+      sim.set_tier(tier);
+      sim.enable_flight({path, /*depth=*/16});
+      sim.set_inject_step(11);  // anchor at the step-8 rebuild, then crash
+      EXPECT_THROW(sim.step(16), NumericalException);
+      EXPECT_EQ(sim.steps_taken(), 11u);
+      ASSERT_NE(sim.flight(), nullptr);
+      EXPECT_TRUE(sim.flight()->has_failure());
+    }
+    const FlightBundle bundle = load_flight_bundle(path);
+    EXPECT_EQ(bundle.snapshot_step, 8u);
+    EXPECT_TRUE(bundle.has_failure);
+    EXPECT_EQ(bundle.failure_phase, "inject");
+    EXPECT_EQ(bundle.failure_step, 11u);
+    ASSERT_FALSE(bundle.records.empty());
+    EXPECT_EQ(bundle.records.back().step, 10u);
 
-  const ReplayResult result = replay_flight_bundle(path);
-  EXPECT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.steps_replayed, 3u);   // steps 8, 9, 10
-  EXPECT_EQ(result.hashes_checked, 3u);   // each bitwise identical
-  EXPECT_TRUE(result.failure_reproduced);
-  std::remove(path.c_str());
+    const ReplayResult result = replay_flight_bundle(path);
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.steps_replayed, 3u);   // steps 8, 9, 10
+    EXPECT_EQ(result.hashes_checked, 3u);   // each bitwise identical
+    EXPECT_TRUE(result.failure_reproduced);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Flight, TamperedBundleFailsReplay) {

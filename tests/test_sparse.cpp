@@ -1,6 +1,6 @@
-// Tests for the sparse-matrix substrate: CSR assembly/products, the
-// 3×3-block BCSR format with single- and multi-vector products, and the
-// symmetric half-stored variant with its colored deterministic kernels.
+// Tests for the sparse-matrix substrate: the 3×3-block BCSR format with
+// single- and multi-vector products, and the symmetric half-stored variant
+// with its colored deterministic kernels.
 #include <gtest/gtest.h>
 
 #include <omp.h>
@@ -14,79 +14,10 @@
 #include "common/simd.hpp"
 #include "linalg/blas.hpp"
 #include "sparse/bcsr3.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/sym_bcsr3.hpp"
 
 namespace hbd {
 namespace {
-
-TEST(Csr, FromTripletsAndDense) {
-  const std::vector<std::size_t> rows{0, 0, 2, 1, 2};
-  const std::vector<std::size_t> cols{1, 3, 0, 2, 0};
-  const std::vector<double> vals{1.0, 2.0, 3.0, 4.0, 5.0};
-  const CsrMatrix m = CsrMatrix::from_triplets(3, 4, rows, cols, vals);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 4u);
-  EXPECT_EQ(m.nnz(), 4u);  // duplicate (2,0) merged
-  const Matrix d = m.to_dense();
-  EXPECT_DOUBLE_EQ(d(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(d(0, 3), 2.0);
-  EXPECT_DOUBLE_EQ(d(1, 2), 4.0);
-  EXPECT_DOUBLE_EQ(d(2, 0), 8.0);  // 3 + 5
-  EXPECT_DOUBLE_EQ(d(2, 1), 0.0);
-}
-
-TEST(Csr, EmptyRowsHandled) {
-  const std::vector<std::size_t> rows{3};
-  const std::vector<std::size_t> cols{1};
-  const std::vector<double> vals{7.0};
-  const CsrMatrix m = CsrMatrix::from_triplets(5, 2, rows, cols, vals);
-  std::vector<double> x{1.0, 2.0}, y(5);
-  m.multiply(x, y);
-  EXPECT_DOUBLE_EQ(y[3], 14.0);
-  EXPECT_DOUBLE_EQ(y[0], 0.0);
-  EXPECT_DOUBLE_EQ(y[4], 0.0);
-}
-
-TEST(Csr, MultiplyMatchesDense) {
-  const std::size_t rows = 37, cols = 23, nnz = 200;
-  Xoshiro256 rng(5);
-  std::vector<std::size_t> ri(nnz), ci(nnz);
-  std::vector<double> v(nnz);
-  for (std::size_t t = 0; t < nnz; ++t) {
-    ri[t] = rng.next_u64() % rows;
-    ci[t] = rng.next_u64() % cols;
-    v[t] = rng.next_gaussian();
-  }
-  const CsrMatrix m = CsrMatrix::from_triplets(rows, cols, ri, ci, v);
-  const Matrix d = m.to_dense();
-  std::vector<double> x(cols), y_sparse(rows), y_dense(rows, 0.0);
-  fill_gaussian(rng, x);
-  m.multiply(x, y_sparse);
-  gemv(1.0, d, x, 0.0, y_dense);
-  for (std::size_t i = 0; i < rows; ++i)
-    EXPECT_NEAR(y_sparse[i], y_dense[i], 1e-12);
-}
-
-TEST(Csr, TransposeMultiplyMatchesDense) {
-  const std::size_t rows = 9, cols = 14, nnz = 40;
-  Xoshiro256 rng(6);
-  std::vector<std::size_t> ri(nnz), ci(nnz);
-  std::vector<double> v(nnz);
-  for (std::size_t t = 0; t < nnz; ++t) {
-    ri[t] = rng.next_u64() % rows;
-    ci[t] = rng.next_u64() % cols;
-    v[t] = rng.next_gaussian();
-  }
-  const CsrMatrix m = CsrMatrix::from_triplets(rows, cols, ri, ci, v);
-  const Matrix d = m.to_dense();
-  std::vector<double> x(rows), y_sparse(cols), y_dense(cols, 0.0);
-  fill_gaussian(rng, x);
-  m.multiply_transpose(x, y_sparse);
-  gemv_t(1.0, d, x, 0.0, y_dense);
-  for (std::size_t j = 0; j < cols; ++j)
-    EXPECT_NEAR(y_sparse[j], y_dense[j], 1e-12);
-}
 
 Bcsr3Matrix random_bcsr(std::size_t nblock, double density,
                         std::uint64_t seed) {

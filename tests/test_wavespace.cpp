@@ -15,7 +15,6 @@
 #include "core/brownian.hpp"
 #include "core/forces.hpp"
 #include "core/krylov.hpp"
-#include "core/mobility.hpp"
 #include "core/simulation.hpp"
 #include "core/system.hpp"
 #include "ewald/beenakker.hpp"
@@ -187,16 +186,17 @@ TEST(WaveSpace, NearFieldLanczosConvergesFast) {
   const Matrix z = gaussian_block(rng, 3 * system.size(), 8);
 
   Xoshiro256 wave = substream(5, 1);
-  WaveSpaceBrownianSampler sampler(pme, config, wave);
-  const Matrix d = sampler.sample_block(z, 1.0);
-  EXPECT_TRUE(sampler.last_stats().converged);
-  EXPECT_LE(sampler.last_stats().iterations, 6);
+  KrylovStats near;
+  (void)sample_wavespace_block(pme, z, 1.0, config, wave, &near);
+  EXPECT_TRUE(near.converged);
+  EXPECT_LE(near.iterations, 6);
 
-  PmeMobility mob(pme);
-  KrylovBrownianSampler full(mob, config);
-  (void)full.sample_block(z, 1.0);
-  EXPECT_TRUE(full.last_stats().converged);
-  EXPECT_LE(sampler.last_stats().iterations, full.last_stats().iterations);
+  KrylovStats full;
+  (void)krylov_sqrt_apply(
+      [&pme](const Matrix& x, Matrix& y) { pme.apply_block(x, y); }, z,
+      config, &full);
+  EXPECT_TRUE(full.converged);
+  EXPECT_LE(near.iterations, full.iterations);
 }
 
 // End-to-end displacement statistics: the sampled covariance of both
@@ -247,8 +247,7 @@ TEST(WaveSpace, BitwiseDeterministicAcrossThreadCounts) {
     omp_set_num_threads(threads);
     PmeOperator pme(pos, system.box, system.radius, params);
     Xoshiro256 wave = substream(123, 1);
-    WaveSpaceBrownianSampler sampler(pme, config, wave);
-    return sampler.sample_block(z, 1.0);
+    return sample_wavespace_block(pme, z, 1.0, config, wave);
   };
 
   const Matrix ref = sample_with(1);
