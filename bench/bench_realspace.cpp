@@ -88,14 +88,6 @@ struct Result {
   double t_spmm_sym32;
   double fp32_traffic_reduction;  // modeled SpMV bytes, fp64 sym / fp32 sym
   double fp32_ep;                 // measured storage-rounding relative error
-  // Hybrid coloring: only high-degree rows colored, rest streamed.
-  double t_spmv_hybrid;
-  double hybrid_colored_fraction;
-  // Multicore re-measure of the hybrid degree threshold (2 and 8 threads).
-  double t_spmv_sym_t2;
-  double t_spmv_hybrid_t2;
-  double t_spmv_sym_t8;
-  double t_spmv_hybrid_t8;
   // Cell-granular partial rebuild vs from-scratch list rebuild.
   double t_list_full;
   double t_list_partial;
@@ -203,41 +195,6 @@ int main(int argc, char** argv) {
     for (std::size_t k = 0; k < 3 * n; ++k) du[k] = u32[k] - u64[k];
     const double fp32_ep = nrm2(du) / nrm2(u64);
 
-    // ---- Hybrid coloring (high-degree rows only) ---------------------------
-    // Threshold at the mean degree: roughly half the rows keep the colored
-    // scatter, the low-degree half streams duplicated row-locally.
-    const double nbr_mean =
-        static_cast<double>(sym_op.logical_nnz_blocks() - n) /
-        static_cast<double>(n);
-    RealspaceOperator hyb_op(sys.box, sys.radius, xi, rmax, skin,
-                             NearFieldStorage::symmetric, Precision::fp64,
-                             static_cast<std::size_t>(nbr_mean));
-    hyb_op.refresh(pos);
-    const double t_spmv_hybrid = time_min([&] {
-      for (int r = 0; r < kReps; ++r) hyb_op.apply(f, u);
-    });
-    const double hybrid_cf = hyb_op.colored_fraction();
-
-    // Multicore re-measure (PR 6 follow-up): the duplicated low-degree rows
-    // trade extra arithmetic for scatter-free parallelism, so the verdict
-    // can flip with the thread count.  Oversubscribed on small machines —
-    // read relative to t_spmv_sym at the same thread count only.
-    double t_spmv_sym_t2 = 0.0, t_spmv_hybrid_t2 = 0.0;
-    double t_spmv_sym_t8 = 0.0, t_spmv_hybrid_t8 = 0.0;
-#ifdef _OPENMP
-    const auto spmv_at = [&](int nt, RealspaceOperator& o) {
-      omp_set_num_threads(nt);
-      return time_min([&] {
-        for (int r = 0; r < kReps; ++r) o.apply(f, u);
-      });
-    };
-    t_spmv_sym_t2 = spmv_at(2, sym_op);
-    t_spmv_hybrid_t2 = spmv_at(2, hyb_op);
-    t_spmv_sym_t8 = spmv_at(8, sym_op);
-    t_spmv_hybrid_t8 = spmv_at(8, hyb_op);
-    omp_set_num_threads(threads);
-#endif
-
     // ---- Partial vs full list rebuild --------------------------------------
     // A thin slab settles past the drift threshold each repetition
     // (sedimentation-like): the partial list re-enumerates only the violated
@@ -305,9 +262,7 @@ int main(int argc, char** argv) {
     results.push_back({n, t_seed, t_rebuild, t_refresh, t_spmv_full,
                        t_spmv_sym, t_spmm_full, t_spmm_sym, traffic_reduction,
                        t_spmv_sym32, t_spmm_sym32, fp32_traffic_reduction,
-                       fp32_ep, t_spmv_hybrid, hybrid_cf, t_spmv_sym_t2,
-                       t_spmv_hybrid_t2, t_spmv_sym_t8, t_spmv_hybrid_t8,
-                       t_list_full, t_list_partial, t_wave, t_krylov,
+                       fp32_ep, t_list_full, t_list_partial, t_wave, t_krylov,
                        nf_iters, full_iters, cov_err});
     std::printf("%7zu | %10.5f %10.5f %10.5f | %8.2fx %8.2fx\n", n, t_seed,
                 t_rebuild, t_refresh, t_seed / t_rebuild, t_seed / t_refresh);
@@ -321,14 +276,6 @@ int main(int argc, char** argv) {
         "e_p %.2e)\n",
         t_spmv_sym32, t_spmm_sym32, t_spmv_sym / t_spmv_sym32,
         t_spmm_sym / t_spmm_sym32, fp32_traffic_reduction, fp32_ep);
-    std::printf(
-        "        | hybrid spmv %.5f (%.2fx vs colored, fraction %.2f)\n",
-        t_spmv_hybrid, t_spmv_sym / t_spmv_hybrid, hybrid_cf);
-    if (t_spmv_hybrid_t2 > 0.0)
-      std::printf(
-          "        | hybrid @2T %.5f/%.5f (%.2fx)  @8T %.5f/%.5f (%.2fx)\n",
-          t_spmv_sym_t2, t_spmv_hybrid_t2, t_spmv_sym_t2 / t_spmv_hybrid_t2,
-          t_spmv_sym_t8, t_spmv_hybrid_t8, t_spmv_sym_t8 / t_spmv_hybrid_t8);
     std::printf("        | list rebuild full/partial %.5f/%.5f (%.2fx)\n",
                 t_list_full, t_list_partial, t_list_full / t_list_partial);
     std::printf(
@@ -361,19 +308,6 @@ int main(int argc, char** argv) {
          {"fp32_spmm_speedup", r.t_spmm_sym / r.t_spmm_sym32},
          {"fp32_traffic_reduction", r.fp32_traffic_reduction},
          {"fp32_ep", r.fp32_ep},
-         {"t_spmv_hybrid_s", r.t_spmv_hybrid},
-         {"hybrid_spmv_speedup", r.t_spmv_sym / r.t_spmv_hybrid},
-         {"hybrid_colored_fraction", r.hybrid_colored_fraction},
-         {"t_spmv_sym_t2_s", r.t_spmv_sym_t2},
-         {"t_spmv_hybrid_t2_s", r.t_spmv_hybrid_t2},
-         {"hybrid_spmv_speedup_t2",
-          r.t_spmv_hybrid_t2 > 0.0 ? r.t_spmv_sym_t2 / r.t_spmv_hybrid_t2
-                                   : 0.0},
-         {"t_spmv_sym_t8_s", r.t_spmv_sym_t8},
-         {"t_spmv_hybrid_t8_s", r.t_spmv_hybrid_t8},
-         {"hybrid_spmv_speedup_t8",
-          r.t_spmv_hybrid_t8 > 0.0 ? r.t_spmv_sym_t8 / r.t_spmv_hybrid_t8
-                                   : 0.0},
          {"t_list_rebuild_s", r.t_list_full},
          {"t_list_partial_s", r.t_list_partial},
          {"partial_rebuild_speedup", r.t_list_full / r.t_list_partial},

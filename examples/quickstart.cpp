@@ -15,7 +15,6 @@
 #include "core/simulation.hpp"
 #include "core/system.hpp"
 #include "obs/exposition.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/telemetry.hpp"
 #include "pme/params.hpp"
 
@@ -109,21 +108,9 @@ int main() {
   //    online e_p probing and writes the JSON health report (manifest, e_p
   //    series, Krylov statistics) when the simulation is destroyed.
   if (obs::kEnabled) {
-    // Layer 7: HBD_PERF=1 attaches perf_event_open counter groups to the
-    // phase scopes; the effective mode (and why it degraded, if it did) is
-    // part of the manifest, and HBD_ROOFLINE=<path> dumps the full
-    // roofline/drift bundle at exit.
-    const obs::PerfCounters& perf = obs::PerfCounters::global();
-    std::printf("\n-- hardware counters --\nmode %s",
-                obs::perf_mode_name(perf.mode()));
-    if (!perf.fallback_reason().empty())
-      std::printf(" (%s)", perf.fallback_reason().c_str());
-    std::printf("\n");
-    for (const obs::RooflineRecord& rec : sim.drift_audit().roofline())
-      std::printf("  %-14s %7.2f GB/s %7.2f GF/s  bytes meas/mod %.3f\n",
-                  rec.name.c_str(), rec.gbs, rec.gfs, rec.bytes_ratio_median);
+    RunObserver& observer = sim.observer();
     std::printf("\n-- model drift (measured vs Eq. 10) --\n%s",
-                sim.drift_audit().report().c_str());
+                observer.drift_audit().report().c_str());
     std::printf("\n-- numerical health --\n%s",
                 sim.health().summary().c_str());
     std::printf("\n-- tier --\nactive %s, %llu switches\n",
@@ -131,22 +118,21 @@ int main() {
                 static_cast<unsigned long long>(sim.tier_switches()));
     std::printf("\n-- metrics --\n%s",
                 obs::Registry::global().report().c_str());
-    if (sim.stream())
+    if (const obs::StreamWriter* stream = observer.stream())
       std::printf("\n-- stream --\n%s: %llu steps pushed, %llu windows, "
                   "%llu dropped\n",
-                  sim.stream()->options().path.c_str(),
-                  static_cast<unsigned long long>(sim.stream()->pushed()),
-                  static_cast<unsigned long long>(
-                      sim.stream()->windows_written()),
-                  static_cast<unsigned long long>(sim.stream()->dropped()));
-    if (sim.flight())
+                  stream->options().path.c_str(),
+                  static_cast<unsigned long long>(stream->pushed()),
+                  static_cast<unsigned long long>(stream->windows_written()),
+                  static_cast<unsigned long long>(stream->dropped()));
+    if (const obs::FlightRecorder* flight = observer.flight())
       std::printf("\n-- flight --\n%s: %llu steps recorded (ring depth "
                   "%zu), anchor at step %llu\n",
-                  sim.flight()->options().path.c_str(),
-                  static_cast<unsigned long long>(sim.flight()->recorded()),
-                  sim.flight()->depth(),
+                  flight->options().path.c_str(),
+                  static_cast<unsigned long long>(flight->recorded()),
+                  flight->depth(),
                   static_cast<unsigned long long>(
-                      sim.flight()->last_snapshot().step));
+                      flight->last_snapshot().step));
     if (expo)
       std::printf("\n-- exposition --\n127.0.0.1:%d served %llu requests\n",
                   expo->port(),

@@ -147,8 +147,6 @@ std::unique_ptr<MatrixFreeBdSimulation> simulation_from_bundle(
   params.auto_skin = false;
   params.precompute_interp = numbers.num_or("precompute_interp", 1.0) != 0.0;
   params.partial_rebuilds = numbers.num_or("partial_rebuilds", 0.0) != 0.0;
-  params.sym_degree_threshold =
-      static_cast<std::size_t>(numbers.num_or("sym_degree_threshold", 0.0));
   const std::string precision = strings.str_or("precision", "fp64");
   params.precision = precision == "fp32" ? Precision::fp32 : Precision::fp64;
   const std::string storage = strings.str_or("storage", "full");
@@ -193,7 +191,7 @@ std::unique_ptr<MatrixFreeBdSimulation> simulation_from_bundle(
   sim->restore_flight(bundle.positions, bundle.rng_traj, bundle.rng_wave,
                       bundle.snapshot_step);
   if (bundle.has_failure && bundle.failure_phase == "inject")
-    sim->set_inject_step(bundle.failure_step);
+    sim->observer().set_inject_step(bundle.failure_step);
   return sim;
 }
 

@@ -1,13 +1,10 @@
 #include "core/simulation.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "linalg/blas.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/telemetry.hpp"
 #include "pme/params.hpp"
 #include "pme/validate.hpp"
@@ -96,74 +93,9 @@ MatrixFreeBdSimulation::MatrixFreeBdSimulation(
     if (pme_params_.precision == Precision::fp32)
       health_.set_probes_enabled(true);
   }
-  // Publish this run's provenance to the process-wide manifest embedded by
-  // the metrics/trace/bench exporters (last constructed driver wins).
-  obs::run_manifest() = manifest();
-  // Live telemetry (layers 5–6): stream writer, flight recorder, and the
-  // deterministic failure injection knob, all env-gated and all null in
-  // -DHBD_TELEMETRY=OFF builds (from_env returns nullptr there).
-  stream_ = obs::StreamWriter::from_env();
-  flight_ = obs::FlightRecorder::from_env();
-  if (flight_) flight_->arm_signal_handler();
-  if constexpr (obs::kEnabled) {
-    if (const char* inj = std::getenv("HBD_FLIGHT_INJECT")) {
-      const long long v = std::atoll(inj);
-      if (v >= 0) inject_step_ = static_cast<std::uint64_t>(v);
-    }
-    // Layer 7: the drift audit's roofline records normalize against the
-    // model's hardware roofs; HBD_ROOFLINE=<path> dumps the full
-    // timer/model/counter evidence at destruction.
-    drift_.set_roofs(model_hw_.stream_bw_gbs, model_hw_.peak_dp_gflops);
-    if (const char* path = std::getenv("HBD_ROOFLINE"))
-      roofline_path_ = path;
-  }
-}
-
-void MatrixFreeBdSimulation::enable_stream(obs::StreamWriter::Options opts) {
-  stream_ = std::make_unique<obs::StreamWriter>(std::move(opts));
-}
-
-void MatrixFreeBdSimulation::enable_flight(obs::FlightRecorder::Options opts) {
-  flight_ = std::make_unique<obs::FlightRecorder>(std::move(opts));
-}
-
-MatrixFreeBdSimulation::~MatrixFreeBdSimulation() {
-  if constexpr (obs::kEnabled) {
-    if (!health_.export_path().empty())
-      health_.write_json(health_.export_path(), manifest());
-    if (!roofline_path_.empty()) write_roofline_json(roofline_path_);
-  }
-}
-
-bool MatrixFreeBdSimulation::write_roofline_json(const std::string& path) {
-  if constexpr (!obs::kEnabled) {
-    (void)path;
-    return false;
-  }
-  // Close the open audit window so the export covers every apply so far.
-  if (pme()) audit_drift();
-  std::ofstream out(path);
-  if (!out) return false;
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.field("schema", "hbd.roofline.v1");
-  w.key("manifest");
-  manifest().write_json(w);
-  const obs::PerfCounters& perf = obs::PerfCounters::global();
-  w.key("perf");
-  w.begin_object();
-  w.field("mode", obs::perf_mode_name(perf.mode()));
-  w.field("fallback", perf.fallback_reason());
-  w.field("line_bytes", obs::PerfCounters::line_bytes());
-  w.key("events");
-  w.begin_array();
-  for (const std::string& ev : perf.events()) w.value(ev);
-  w.end_array();
-  w.end_object();
-  drift_.write_json_fields(w);
-  w.end_object();
-  out << "\n";
-  return out.good();
+  // Last: publishes the manifest, then opens the env-wired stream and
+  // flight outputs, so the stream header carries this run's manifest.
+  observer_.on_start();
 }
 
 obs::RunManifest MatrixFreeBdSimulation::manifest() const {
@@ -185,37 +117,34 @@ obs::RunManifest MatrixFreeBdSimulation::manifest() const {
   m.skin = nlist_ ? nlist_->skin() : pme_params_.skin;
   m.skin_auto = pme_params_.auto_skin;
   m.precision = precision_name(pme_params_.precision);
-  // 1.0 until the operator exists (every row colored / no hybrid split).
-  const PmeOperator* op = pme();
-  m.colored_fraction = op ? op->realspace().colored_fraction() : 1.0;
   const MobilityTier active = backend_ ? tier() : native_tier_;
-  // The dense tier factors its mobility; pme_params_ keeps describing the
-  // PME splitting the run returns to.
-  m.brownian_method = active == MobilityTier::dense
-                          ? "cholesky"
-                          : brownian_method_name(pme_params_.brownian);
+  // The meshless tiers sample without the PME splitting; pme_params_ keeps
+  // describing the one the run returns to.
+  if (active == MobilityTier::dense)
+    m.brownian_method = "cholesky";
+  else if (active == MobilityTier::tea)
+    m.brownian_method = "tea";
+  else
+    m.brownian_method = brownian_method_name(pme_params_.brownian);
   m.ewald_kernel = ewald_kernel_name(pme_params_.kernel);
   m.mobility_tier = mobility_tier_name(active);
   m.tier_switches = tier_switches_;
   m.error_budget = error_budget_;
   m.rng_stream_trajectory = kTrajectoryStream;
   m.rng_stream_wavespace = kWavespaceStream;
-  m.hw_name = model_hw_.name;
-  m.hw_gflops = model_hw_.peak_dp_gflops;
-  m.hw_bw_gbs = model_hw_.stream_bw_gbs;
+  const HardwareParams hw = westmere_ep();  // the drift audit's model host
+  m.hw_name = hw.name;
+  m.hw_gflops = hw.peak_dp_gflops;
+  m.hw_bw_gbs = hw.stream_bw_gbs;
   return m;
 }
 
 void MatrixFreeBdSimulation::rebuild() {
   HBD_TRACE_SCOPE("bd.rebuild");
-  // Close the previous audit window before this rebuild's applies land in
-  // the operator's phase timers.
-  if (pme()) audit_drift();
-  // Replay anchor: captured before the Brownian block is sampled, so a
-  // restored run re-draws the identical displacements (obs/flight.hpp).
-  if constexpr (obs::kEnabled) {
-    if (flight_) snapshot_flight();
-  }
+  // Closes the previous audit window before this rebuild's applies land in
+  // the operator's phase timers, and anchors the flight recorder before the
+  // Brownian block is sampled.
+  observer_.on_rebuild(observed_state());
   // Tier routing happens at rebuild boundaries only — mid-block the active
   // backend keeps serving its sampled displacements.
   route_tier();
@@ -268,7 +197,7 @@ void MatrixFreeBdSimulation::route_tier() {
   if (!policy_ || forced_tier_) return;
   const std::size_t n = system_.size();
   const Device host{
-      PmePerfModel(effective_hardware(),
+      PmePerfModel(westmere_ep(),
                    static_cast<double>(value_bytes(pme_params_.precision))),
       /*is_host=*/true};
   const int iters = std::max(krylov_stats_.iterations, 1);
@@ -286,9 +215,8 @@ void MatrixFreeBdSimulation::route_tier() {
                                     pme_params_.order),
         choose_pme_params(system_.box, 1.0, ep_kr, std::nullopt,
                           pme_params_.order)};
-  // Candidate costs come from the recalibrated perf model (the drift audit
-  // folds measured per-phase scales into effective_hardware when
-  // auto-recalibration is on); declared accuracies are the tier defaults.
+  // Candidate costs come from the perf model on the paper's host; declared
+  // accuracies are the tier defaults.
   const TierPolicy::Candidate cands[kMobilityTierCount] = {
       {MobilityTier::tea, tier_default_ep(MobilityTier::tea),
        model_tea_step(host, n, config_.lambda_rpy)},
@@ -308,6 +236,7 @@ void MatrixFreeBdSimulation::route_tier() {
 }
 
 void MatrixFreeBdSimulation::swap_backend(MobilityTier t) {
+  std::unique_ptr<MobilityBackend> next;
   if (t == MobilityTier::pme_krylov || t == MobilityTier::pse_wavespace) {
     // Returning to the native tier restores the caller's exact params;
     // other PME tiers get parameters regenerated for their declared target
@@ -325,31 +254,28 @@ void MatrixFreeBdSimulation::swap_backend(MobilityTier t) {
     if (p.partial_rebuilds) nlist_->set_partial_rebuilds(true);
     if (p.auto_skin && p.skin > 0.0)
       nlist_->enable_auto_skin(p.auto_skin_interval);
-    backend_ = make_mobility_backend(t, system_.size(), system_.box,
-                                     system_.radius, pme_params_,
-                                     krylov_config_, nlist_);
+    next = make_mobility_backend(t, system_.size(), system_.box,
+                                 system_.radius, pme_params_, krylov_config_,
+                                 nlist_);
   } else {
     // tea/dense need no PME operator and no list: propagate stops
     // revalidating it until a PME tier returns (the forces keep their own).
-    backend_ = make_mobility_backend(t, system_.size(), system_.box,
-                                     system_.radius, pme_params_,
-                                     krylov_config_, nullptr);
+    next = make_mobility_backend(t, system_.size(), system_.box,
+                                 system_.radius, pme_params_, krylov_config_,
+                                 nullptr);
   }
-  // The old operator's cumulative timers/counters died with it — reset the
-  // audit/stream baselines so the next windows don't see negative deltas.
-  counts_seen_ = {};
-  phase_seen_.clear();
-  stream_phase_seen_.clear();
+  // `next` now holds the outgoing backend, alive until the observer has
+  // closed its audit window.
+  backend_.swap(next);
   ++tier_switches_;
   HBD_COUNTER_ADD("bd.tier_switches", 1);
   HBD_GAUGE_SET("bd.tier", static_cast<double>(static_cast<int>(t)));
-  if constexpr (obs::kEnabled) obs::run_manifest() = manifest();
+  observer_.on_swap(next->pme());
 }
 
 void MatrixFreeBdSimulation::set_tier(MobilityTier t) {
   forced_tier_ = true;
   if (backend_ && tier() == t) return;
-  if (pme()) audit_drift();
   swap_backend(t);
   // Invalidate the current displacement block: the next step() rebuilds and
   // resamples on the new tier.
@@ -363,6 +289,7 @@ void MatrixFreeBdSimulation::set_error_budget(double ep) {
   forced_tier_ = false;
   // The health probes are the policy's online validation signal.
   if constexpr (obs::kEnabled) health_.set_probes_enabled(true);
+  observer_.publish_manifest();
 }
 
 void MatrixFreeBdSimulation::probe_backend_error() {
@@ -410,18 +337,7 @@ void MatrixFreeBdSimulation::guard_step() {
 
 void MatrixFreeBdSimulation::step_once() {
   HBD_TRACE_SCOPE("bd.step");
-  [[maybe_unused]] const Timer step_timer;
-  if constexpr (obs::kEnabled) {
-    // Deterministic failure injection (HBD_FLIGHT_INJECT): thrown before
-    // any state mutates, so the flight bundle's replay hits the identical
-    // point with the identical state.
-    if (steps_ == inject_step_) {
-      NumericalContext ctx;
-      ctx.phase = "inject";
-      ctx.step = static_cast<long>(steps_);
-      throw NumericalException("injected failure (HBD_FLIGHT_INJECT)", ctx);
-    }
-  }
+  const Timer step_timer;
   if (block_cursor_ == 0 || block_cursor_ >= config_.lambda_rpy) rebuild();
   propagate(system_, forces_, config_, *backend_, displacements_,
             block_cursor_, *nlist_, wrapped_, forces_scratch_,
@@ -432,126 +348,23 @@ void MatrixFreeBdSimulation::step_once() {
   HBD_COUNTER_ADD("bd.steps", 1);
   const double wall = step_timer.seconds();
   HBD_HISTOGRAM_OBSERVE("bd.step.seconds", wall);
-  if constexpr (obs::kEnabled) observe_step(wall);
+  observer_.on_step(wall, observed_state());
 }
 
 void MatrixFreeBdSimulation::step(std::size_t nsteps) {
   for (std::size_t s = 0; s < nsteps; ++s) {
     if constexpr (obs::kEnabled) {
       try {
+        observer_.throw_if_injected();
         step_once();
       } catch (const NumericalException& e) {
-        // Post-mortem: attach the failure context to the flight recorder
-        // and dump the bundle before the exception unwinds the run away.
-        if (flight_) {
-          const NumericalContext& ctx = e.context();
-          obs::FlightFailure failure;
-          failure.phase = ctx.phase;
-          failure.what = e.what();
-          failure.step = ctx.step < 0 ? steps_
-                                      : static_cast<std::uint64_t>(ctx.step);
-          failure.index = ctx.index;
-          failure.value = ctx.value;
-          failure.residuals = ctx.residuals;
-          flight_->set_failure(std::move(failure));
-          flight_->dump();
-        }
+        observer_.on_failure(e);
         throw;
       }
     } else {
       step_once();
     }
   }
-}
-
-void MatrixFreeBdSimulation::observe_step(double wall_seconds) {
-  obs::PerfCounters& perf = obs::PerfCounters::global();
-  const bool counting = perf.counting();
-  if (!stream_ && !flight_ && !counting) return;
-  const Timer obs_timer;
-  const bool rebuilt = block_cursor_ == 1;  // rebuild() ran on this step
-  const std::size_t n = system_.size();
-  const double* pos = &system_.positions[0].x;
-
-  if (stream_) {
-    obs::StreamRecord rec;
-    rec.step = steps_ - 1;
-    rec.wall_seconds = wall_seconds;
-    // Per-step phase seconds: deltas of the operator's cumulative timers
-    // (PME tiers only — tea/dense have no phase pipeline).
-    if (PmeOperator* op = pme()) {
-      const auto totals = op->timers().totals();
-      for (std::size_t p = 0; p < obs::kStreamPhases; ++p) {
-        const std::string key(obs::kStreamPhaseNames[p]);
-        const auto it = totals.find(key);
-        const double total = it == totals.end() ? 0.0 : it->second;
-        rec.phase_seconds[p] = total - stream_phase_seen_[key];
-        stream_phase_seen_[key] = total;
-      }
-    }
-    rec.krylov_iters =
-        rebuilt ? static_cast<double>(krylov_stats_.iterations) : 0.0;
-    const double ep = health_.ep_last();
-    rec.e_p = ep > 0.0 ? ep : -1.0;
-    rec.rebuild_fraction =
-        rebuilt ? effective_rebuild_fraction(*nlist_) : -1.0;
-    rec.rebuilt = rebuilt;
-    rec.rng_draws = rng_.draws();
-    // Roofline summaries exist only on rebuild steps with hardware
-    // counters live; -1 keeps counters-off stream output unchanged.
-    if (rebuilt) {
-      rec.roof_bytes_ratio = last_roof_bytes_ratio_;
-      rec.roof_gbs = last_roof_gbs_;
-    }
-    rec.tier = static_cast<double>(static_cast<int>(tier()));
-    stream_->push(rec);
-  }
-
-  if (flight_) {
-    obs::FlightRecord rec;
-    rec.step = steps_ - 1;
-    rec.pos_hash = obs::hash_doubles({pos, 3 * n});
-    rec.force_hash = obs::hash_doubles(forces_scratch_);
-    rec.wall_seconds = wall_seconds;
-    rec.krylov_iters =
-        rebuilt ? static_cast<double>(krylov_stats_.iterations) : 0.0;
-    rec.krylov_residual = krylov_stats_.relative_change;
-    rec.rng_draws_traj = rng_.draws();
-    rec.rng_draws_wave = wave_rng_.draws();
-    rec.rebuilt = rebuilt;
-    flight_->record(rec);
-  }
-
-  // Self-accounting for the <2% budget: everything this hook spent,
-  // including the hashes above, relative to total stepped time.  The perf
-  // scopes' self-measured read cost accrued inside the step's wall time;
-  // folding its delta into obs_seconds_ keeps counter overhead under the
-  // same obs.overhead_frac gate.
-  if (counting) {
-    const double perf_total = perf.overhead_seconds();
-    obs_seconds_ += perf_total - perf_overhead_seen_;
-    perf_overhead_seen_ = perf_total;
-  }
-  const double spent = obs_timer.seconds();
-  obs_seconds_ += spent;
-  step_seconds_ += wall_seconds + spent;
-  if (step_seconds_ > 0.0)
-    HBD_GAUGE_SET("obs.overhead_frac", obs_seconds_ / step_seconds_);
-}
-
-void MatrixFreeBdSimulation::snapshot_flight() {
-  obs::FlightSnapshot snap;
-  snap.step = steps_;
-  snap.skin = nlist_->skin();
-  snap.rng_traj = rng_.state();
-  snap.rng_wave = wave_rng_.state();
-  const double* pos = &system_.positions[0].x;
-  snap.positions.assign(pos, pos + 3 * system_.size());
-  flight_->snapshot(std::move(snap));
-  flight_->set_replay(replay_config());
-  // Refresh the process-wide manifest so the bundle's copy carries the
-  // live skin / colored-fraction values at anchor time.
-  obs::run_manifest() = manifest();
 }
 
 obs::ReplayConfig MatrixFreeBdSimulation::replay_config() const {
@@ -590,8 +403,6 @@ obs::ReplayConfig MatrixFreeBdSimulation::replay_config() const {
   num("mesh", static_cast<double>(pme_params_.mesh));
   num("order", pme_params_.order);
   num("lambda_rpy", static_cast<double>(config_.lambda_rpy));
-  num("sym_degree_threshold",
-      static_cast<double>(pme_params_.sym_degree_threshold));
   num("precompute_interp", pme_params_.precompute_interp ? 1.0 : 0.0);
   num("partial_rebuilds", pme_params_.partial_rebuilds ? 1.0 : 0.0);
   // Force-field reconstruction (replay refuses unknown types).
@@ -624,197 +435,6 @@ void MatrixFreeBdSimulation::restore_flight(
   // Force the next step() to rebuild: the anchor was captured at the top of
   // a rebuild, so stepping from here re-samples the identical block.
   block_cursor_ = 0;
-}
-
-void MatrixFreeBdSimulation::audit_drift() {
-  // Without telemetry the phase timers observe nothing — no measurements to
-  // audit against.
-  if constexpr (!obs::kEnabled) return;
-  PmeOperator* op = pme();
-  if (!op) return;  // tea/dense tiers have no phase pipeline to audit
-  const std::size_t n = system_.size();
-  const auto totals = op->timers().totals();
-  const PmeOperator::ApplyCounts counts = op->apply_counts();
-  const std::uint64_t d_single = counts.single - counts_seen_.single;
-  const std::uint64_t d_block = counts.block - counts_seen_.block;
-  const std::uint64_t d_cols =
-      counts.block_columns - counts_seen_.block_columns;
-  const std::uint64_t d_wave = counts.wave - counts_seen_.wave;
-  const std::uint64_t d_wcols =
-      counts.wave_columns - counts_seen_.wave_columns;
-  counts_seen_ = counts;
-  if (d_single + d_block + d_wave == 0) return;
-
-  // Predictions from the base model over the window's actual work: d_single
-  // single sweeps plus d_block batched applies of the mean observed width,
-  // with the neighbor count measured from the near-field matrix itself.
-  const PmePerfModel model(
-      model_hw_, static_cast<double>(value_bytes(pme_params_.precision)));
-  const std::size_t mesh = op->params().mesh;
-  const int order = op->params().order;
-  const std::size_t width =
-      d_block > 0 ? static_cast<std::size_t>(d_cols / d_block) : 0;
-  const double nbr =
-      static_cast<double>(op->realspace().logical_nnz_blocks() - n) /
-      static_cast<double>(n);
-  const bool sym =
-      op->realspace().storage() == NearFieldStorage::symmetric;
-  const double ns = static_cast<double>(d_single);
-  const double nb = static_cast<double>(d_block);
-
-  const struct {
-    const char* phase;
-    double modeled;
-    obs::PhaseScaling scaling;
-  } rows[] = {
-      {"spreading",
-       ns * model.t_spreading(mesh, order, n) +
-           nb * model.t_spreading_block(mesh, order, n, width),
-       obs::PhaseScaling::bandwidth},
-      {"fft", ns * model.t_fft(mesh) + nb * model.t_fft_block(mesh, width),
-       obs::PhaseScaling::fft},
-      {"influence",
-       ns * model.t_influence(mesh) + nb * model.t_influence_block(mesh, width),
-       obs::PhaseScaling::bandwidth},
-      {"ifft", ns * model.t_ifft(mesh) + nb * model.t_ifft_block(mesh, width),
-       obs::PhaseScaling::ifft},
-      {"interpolation",
-       ns * model.t_interpolation(order, n) +
-           nb * model.t_interpolation_block(order, n, width),
-       obs::PhaseScaling::bandwidth},
-      {"realspace",
-       ns * model.t_realspace(n, nbr, sym) +
-           nb * model.t_realspace_block(n, nbr, width, sym),
-       obs::PhaseScaling::bandwidth},
-  };
-  // Layer 7: hardware-counter evidence for the same windows.  Modeled
-  // bytes invert the bandwidth model exactly (t = bytes / stream_bw), so
-  // bytes_ratio isolates *traffic* drift from *rate* drift; flop counts
-  // are the model's operation accounting (theory.md §12):
-  //   spread/interp   6 p³ n per column (one FMA per weight per component)
-  //   fft/ifft        3 · 2.5 K³ log2(K³) per column
-  //   influence       9 K³ per column (3 complex scalings, half spectrum)
-  //   realspace       18 flops per logical 3×3 block per column
-  obs::PerfCounters& perf = obs::PerfCounters::global();
-  const bool count_bytes = perf.mode() == obs::PerfMode::hardware;
-  const double cols = ns + nb * static_cast<double>(width);
-  const double k3 = static_cast<double>(mesh) * static_cast<double>(mesh) *
-                    static_cast<double>(mesh);
-  const double log2k3 = std::log2(std::max(2.0, k3));
-  const double p3 = static_cast<double>(order) * static_cast<double>(order) *
-                    static_cast<double>(order);
-  const double fft_flops = cols * 3.0 * 2.5 * k3 * log2k3;
-  const double interp_flops = cols * 6.0 * p3 * static_cast<double>(n);
-  const double nnz =
-      static_cast<double>(op->realspace().logical_nnz_blocks());
-  auto phase_flops = [&](std::string_view phase) {
-    if (phase == "spreading" || phase == "interpolation")
-      return interp_flops;
-    if (phase == "fft" || phase == "ifft") return fft_flops;
-    if (phase == "influence") return cols * 9.0 * k3;
-    if (phase == "realspace") return cols * 18.0 * nnz;
-    return 0.0;
-  };
-  double window_bytes = 0.0, window_seconds = 0.0;
-  obs::PerfSample window_delta;
-  auto roofline_row = [&](const char* phase, double measured, double modeled,
-                          obs::PhaseScaling scaling) {
-    if (!count_bytes) return;
-    const obs::PerfSample cum = perf.phase_totals(phase);
-    const obs::PerfSample delta = cum - perf_seen_[phase];
-    perf_seen_[phase] = cum;
-    window_delta += delta;
-    const double bytes = delta.llc_misses * obs::PerfCounters::line_bytes();
-    // Bandwidth phases have an exact byte model; FFT phases are modeled as
-    // compute-bound, so they contribute rates but no bytes_ratio.
-    const double modeled_bytes =
-        scaling == obs::PhaseScaling::bandwidth
-            ? modeled * model_hw_.stream_bw_gbs * 1e9
-            : 0.0;
-    if (scaling == obs::PhaseScaling::bandwidth && measured > 0.0) {
-      window_bytes += bytes;
-      window_seconds += measured;
-    }
-    drift_.record_roofline(phase, scaling, measured, bytes, modeled_bytes,
-                           phase_flops(phase));
-  };
-  for (const auto& row : rows) {
-    const auto it = totals.find(row.phase);
-    const double total = it == totals.end() ? 0.0 : it->second;
-    const double measured = total - phase_seen_[row.phase];
-    phase_seen_[row.phase] = total;
-    drift_.record(row.phase, measured, row.modeled, row.scaling);
-    roofline_row(row.phase, measured, row.modeled, row.scaling);
-  }
-  // Wave-space sampling runs under its own phase so the deterministic
-  // pipeline's per-phase accounting above stays clean; it is iFFT-dominated,
-  // so its drift feeds the ifft recalibration bucket.
-  if (d_wave > 0) {
-    const std::size_t wwidth = static_cast<std::size_t>(d_wcols / d_wave);
-    const auto it = totals.find("wave_sample");
-    const double total = it == totals.end() ? 0.0 : it->second;
-    const double measured = total - phase_seen_["wave_sample"];
-    phase_seen_["wave_sample"] = total;
-    const double modeled_wave =
-        static_cast<double>(d_wave) *
-        model.t_wave_sample(mesh, order, n, wwidth);
-    drift_.record("wave_sample", measured, modeled_wave,
-                  obs::PhaseScaling::ifft);
-    roofline_row("wave_sample", measured, modeled_wave,
-                 obs::PhaseScaling::ifft);
-  }
-
-  // Window roofline summaries into the registry (gauges/counters appear
-  // only when hardware counting is live, so counters-off metrics dumps are
-  // unchanged) and into the stream records of the steps ahead.
-  if (count_bytes) {
-    auto& reg = obs::Registry::global();
-    reg.counter("perf.cycles")
-        .add(static_cast<std::int64_t>(window_delta.cycles));
-    reg.counter("perf.instructions")
-        .add(static_cast<std::int64_t>(window_delta.instructions));
-    reg.counter("perf.llc_misses")
-        .add(static_cast<std::int64_t>(window_delta.llc_misses));
-    reg.counter("perf.llc_references")
-        .add(static_cast<std::int64_t>(window_delta.llc_references));
-    for (const obs::RooflineRecord& rec : drift_.roofline()) {
-      const std::string prefix = "roofline." + rec.name + ".";
-      reg.gauge(prefix + "gbs").set(rec.gbs);
-      reg.gauge(prefix + "gfs").set(rec.gfs);
-      reg.gauge(prefix + "frac_bw_roof").set(rec.frac_bw_roof);
-      if (rec.bytes_ratio_median > 0.0)
-        reg.gauge(prefix + "bytes_ratio").set(rec.bytes_ratio_median);
-    }
-    last_roof_bytes_ratio_ = drift_.recalibration().bytes_ratio;
-    if (window_seconds > 0.0)
-      last_roof_gbs_ = window_bytes / window_seconds * 1e-9;
-  }
-}
-
-HardwareParams MatrixFreeBdSimulation::effective_hardware() const {
-  if (!recalibrate_) return model_hw_;
-  const obs::DriftAudit::Recalibration r = drift_.recalibration();
-  return recalibrated(model_hw_, r.bandwidth_scale, r.fft_scale,
-                      r.ifft_scale);
-}
-
-BdStepModel MatrixFreeBdSimulation::model_step(
-    const std::vector<Device>& accelerators, double ep_target) const {
-  const Device host{
-      PmePerfModel(effective_hardware(),
-                   static_cast<double>(value_bytes(pme_params_.precision))),
-      /*is_host=*/true};
-  const int iters = std::max(krylov_stats_.iterations, 1);
-  // With the wavespace sampler, krylov_stats_ holds the near-field-only
-  // Lanczos iterations; model_bd_step swaps the λ-block Krylov term for
-  // one wave sample + those cheap near-field sweeps.
-  return model_bd_step(host, accelerators, system_.size(), system_.box,
-                       pme_params_.order, ep_target, config_.lambda_rpy,
-                       iters, effective_rebuild_interval(*nlist_),
-                       pme_params_.storage == NearFieldStorage::symmetric,
-                       effective_rebuild_fraction(*nlist_),
-                       pme_params_.brownian == BrownianMethod::wavespace,
-                       iters);
 }
 
 std::size_t MatrixFreeBdSimulation::mobility_bytes() const {

@@ -13,7 +13,6 @@
 // consecutive steps.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,13 +24,11 @@
 #include "core/backend.hpp"
 #include "core/brownian.hpp"
 #include "core/forces.hpp"
+#include "core/run_observer.hpp"
 #include "core/system.hpp"
 #include "hybrid/scheduler.hpp"
-#include "obs/drift.hpp"
 #include "obs/flight.hpp"
 #include "obs/health.hpp"
-#include "obs/hwcounters.hpp"
-#include "obs/stream.hpp"
 #include "pme/pme_operator.hpp"
 
 namespace hbd {
@@ -61,8 +58,9 @@ class MatrixFreeBdSimulation {
                          std::shared_ptr<const ForceField> forces,
                          BdConfig config, PmeParams pme_params,
                          double krylov_tol = 1e-2);
-  /// Writes the health report to HBD_HEALTH (when set) before teardown.
-  ~MatrixFreeBdSimulation();
+  // Not copyable or movable: the observer holds a reference to its driver.
+  MatrixFreeBdSimulation(const MatrixFreeBdSimulation&) = delete;
+  MatrixFreeBdSimulation& operator=(const MatrixFreeBdSimulation&) = delete;
 
   void step(std::size_t nsteps = 1);
 
@@ -99,10 +97,11 @@ class MatrixFreeBdSimulation {
   void set_tier(MobilityTier t);
 
   /// Enables policy routing: before every mobility rebuild the TierPolicy
-  /// picks the cheapest tier (per the recalibrated perf model) whose
+  /// picks the cheapest tier (per the westmere_ep() perf model) whose
   /// declared accuracy fits `ep`, with hysteretic demotion and permanent
   /// barring of tiers whose probed e_p violates the budget.  Turns the
-  /// health probes on (they are the policy's online validation signal).
+  /// health probes on (they are the policy's online validation signal) and
+  /// republishes the run manifest with the budget.
   void set_error_budget(double ep);
   double error_budget() const { return error_budget_; }
 
@@ -128,61 +127,18 @@ class MatrixFreeBdSimulation {
 
   /// Run-provenance manifest of this simulation (build info + BdConfig +
   /// PmeParams + system size + active tier; brownian_method is "cholesky"
-  /// while the dense tier is active) — embedded in the health report and
-  /// suitable for checkpoints.
+  /// while the dense tier is active and "tea" while the tea tier is) —
+  /// embedded in the health report and suitable for checkpoints.
   obs::RunManifest manifest() const;
 
-  /// Writes the layer-7 roofline/drift evidence bundle ("hbd.roofline.v1":
-  /// manifest + effective perf mode + per-phase timer/model/counter records
-  /// + recalibration).  Closes the open audit window first.  Also written
-  /// at destruction when HBD_ROOFLINE=<path> is set.  False when telemetry
-  /// is compiled out or the file cannot be written.
-  bool write_roofline_json(const std::string& path);
+  // --- Telemetry: drift audit, stream, flight recorder ---------------------
 
-  // --- Telemetry: model-vs-measured drift audit (Eq. 10–11) ----------------
-
-  /// Per-phase measured-vs-modeled accounting, one window per mobility
-  /// rebuild: predictions come from model_hardware() applied to the window's
-  /// actual apply counts, measurements from the operator's phase timers.
-  const obs::DriftAudit& drift_audit() const { return drift_; }
-
-  /// Base hardware parameters for the drift predictions (default:
-  /// westmere_ep(), the paper's reference host).
-  const HardwareParams& model_hardware() const { return model_hw_; }
-  void set_model_hardware(HardwareParams hw) { model_hw_ = std::move(hw); }
-
-  /// When enabled, effective_hardware() folds the audit's measured
-  /// recalibration scales into the base parameters (default off: the audit
-  /// only reports).
-  void set_auto_recalibrate(bool on) { recalibrate_ = on; }
-  bool auto_recalibrate() const { return recalibrate_; }
-
-  /// model_hardware() corrected by the measured drift medians when
-  /// auto-recalibration is on; the base parameters otherwise.
-  HardwareParams effective_hardware() const;
-
-  /// Modeled per-step BD cost from this run's measured state: the
-  /// effective (possibly recalibrated) hardware, the Verlet list's measured
-  /// mean rebuild interval instead of the static 256-step default, and the
-  /// last observed Krylov iteration count.
-  BdStepModel model_step(const std::vector<Device>& accelerators = {},
-                         double ep_target = 1e-3) const;
-
-  // --- Telemetry: live streaming + flight recorder (layers 5–6) ------------
-
-  /// The constructor wires both from the environment (HBD_STREAM,
-  /// HBD_FLIGHT, HBD_FLIGHT_INJECT); these attach/replace them
-  /// programmatically (tests, the replay tool).  Neither ever perturbs the
-  /// trajectory: records are derived from state the step produced anyway.
-  void enable_stream(obs::StreamWriter::Options opts);
-  void enable_flight(obs::FlightRecorder::Options opts);
-  obs::StreamWriter* stream() { return stream_.get(); }
-  obs::FlightRecorder* flight() { return flight_.get(); }
-
-  /// Deterministic failure injection: the step with this index throws a
-  /// synthetic NumericalException (phase "inject") at its top, before any
-  /// state mutates — the flight bundle then reproduces it under replay.
-  void set_inject_step(std::uint64_t step) { inject_step_ = step; }
+  /// The run's observer (core/run_observer.hpp): the drift audit, the
+  /// stream writer and flight recorder (wired from HBD_STREAM / HBD_FLIGHT
+  /// or attached programmatically), and failure injection.  None of it
+  /// ever perturbs the trajectory.
+  RunObserver& observer() { return observer_; }
+  const RunObserver& observer() const { return observer_; }
 
   /// Restores a flight-recorder anchor: positions (3n unwrapped), both RNG
   /// stream states, and the step counter.  The next step() rebuilds the
@@ -199,24 +155,14 @@ class MatrixFreeBdSimulation {
 
  private:
   void step_once();
-  /// Post-step observation hook: pushes the stream record and the flight
-  /// record, and accounts its own cost into the obs.overhead_frac gauge.
-  /// Only does work when a stream or flight recorder is attached.
-  void observe_step(double wall_seconds);
-  /// Captures the replay anchor (positions + RNG states) into the flight
-  /// recorder; called at the top of every rebuild, before sampling.
-  void snapshot_flight();
   void rebuild();
   /// TierPolicy hook at the top of rebuild(): scores all four tiers with
-  /// the recalibrated perf model and swaps the backend when the policy
+  /// the westmere_ep() perf model and swaps the backend when the policy
   /// picks a different one.  No-op without a policy or with a forced tier.
   void route_tier();
   /// Replaces the active backend with a freshly built one for `t`,
   /// regenerating PME params/neighbor list when the tier needs them.
   void swap_backend(MobilityTier t);
-  /// Records one drift-audit window covering all operator applies since the
-  /// previous call (the λ propagation applies + the Krylov block applies).
-  void audit_drift();
   /// Runs one amortized e_p probe of the live backend against the lazily
   /// constructed high-resolution reference (telemetry builds only); feeds
   /// the TierPolicy's online validation when routing is enabled.
@@ -227,6 +173,11 @@ class MatrixFreeBdSimulation {
   /// NaN/Inf guards on forces and positions after one propagation step;
   /// compiled out with -DHBD_TELEMETRY=OFF.
   void guard_step();
+  /// What the observer's rebuild/step hooks read beyond the public
+  /// interface.
+  RunObserver::DriverState observed_state() const {
+    return {rng_, wave_rng_, forces_scratch_};
+  }
 
   ParticleSystem system_;
   std::shared_ptr<const ForceField> forces_;
@@ -263,39 +214,15 @@ class MatrixFreeBdSimulation {
   std::size_t block_cursor_ = 0;
   std::size_t steps_ = 0;
 
-  // Drift-audit state: base model hardware plus the timer/counter readings
-  // at the previous audit window boundary.
-  obs::DriftAudit drift_;
-  HardwareParams model_hw_ = westmere_ep();
-  bool recalibrate_ = false;
-  PmeOperator::ApplyCounts counts_seen_;
-  std::map<std::string, double> phase_seen_;
-  /// Hardware-counter phase totals at the previous audit window boundary
-  /// (layer 7); empty unless HBD_PERF counted in hardware mode.
-  std::map<std::string, obs::PerfSample> perf_seen_;
-  /// PerfCounters::overhead_seconds() already folded into obs_seconds_.
-  double perf_overhead_seen_ = 0.0;
-  /// Latest pooled roofline summaries for the stream records (-1 = none).
-  double last_roof_bytes_ratio_ = -1.0;
-  double last_roof_gbs_ = -1.0;
-  /// HBD_ROOFLINE export path (written at destruction when non-empty).
-  std::string roofline_path_;
-
-  // Live streaming + flight recorder (telemetry layers 5–6).  unique_ptr
-  // members keep the driver movable; both are null unless requested.
-  std::unique_ptr<obs::StreamWriter> stream_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  std::uint64_t inject_step_ = ~std::uint64_t{0};
-  /// Cumulative phase-timer readings at the last observe_step() — the
-  /// per-step phase deltas of the stream records.
-  std::map<std::string, double> stream_phase_seen_;
-  double obs_seconds_ = 0.0;   ///< time spent in observe_step()
-  double step_seconds_ = 0.0;  ///< total stepped wall time (incl. obs)
-
   // Per-step scratch (wrapped positions, forces, velocities), allocated once.
   std::vector<Vec3> wrapped_;
   std::vector<double> forces_scratch_;
   std::vector<double> velocity_scratch_;
+
+  /// Declared last: destroyed first, while everything it reads (the health
+  /// monitor and the manifest's sources) is still alive.  Inert until the
+  /// constructor's closing on_start().
+  RunObserver observer_{*this};
 };
 
 }  // namespace hbd

@@ -39,24 +39,6 @@ HardwareParams xeon_phi_knc() {
   };
 }
 
-HardwareParams recalibrated(HardwareParams hw, double bandwidth_scale,
-                            double fft_scale, double ifft_scale) {
-  if (bandwidth_scale > 0.0) hw.stream_bw_gbs *= bandwidth_scale;
-  if (fft_scale > 0.0) {
-    // Forward rate: scale whichever representation is active.
-    if (hw.fft_rate_points.empty())
-      hw.fft_eff_max *= fft_scale;
-    else
-      for (auto& [k, rate] : hw.fft_rate_points) rate *= fft_scale;
-  }
-  if (ifft_scale > 0.0 && fft_scale > 0.0) {
-    // t_ifft = t_fft / ifft_penalty: the forward scale already moved the
-    // inverse rate by fft_scale, so the penalty absorbs the remainder.
-    hw.ifft_penalty *= ifft_scale / fft_scale;
-  }
-  return hw;
-}
-
 double PmePerfModel::fft_rate(std::size_t mesh) const {
   const double k = static_cast<double>(mesh);
   if (!hw_.fft_rate_points.empty()) {

@@ -41,14 +41,6 @@ struct HardwareParams {
 /// 160 DP GFlop/s, ~42 GB/s STREAM, 24 GB.
 HardwareParams westmere_ep();
 
-/// Folds measured drift corrections into the effective rates (the drift
-/// audit's Recalibration scales): `bandwidth_scale` multiplies the STREAM
-/// bandwidth of the bandwidth-bound phases, `fft_scale`/`ifft_scale` the
-/// achievable forward/inverse transform rates.  Scales ≤ 0 leave the
-/// corresponding rate untouched.
-HardwareParams recalibrated(HardwareParams hw, double bandwidth_scale,
-                            double fft_scale, double ifft_scale);
-
 /// Intel Xeon Phi (KNC): 61 cores, 1074 DP GFlop/s, ~160 GB/s STREAM, 8 GB,
 /// PCIe-attached.
 HardwareParams xeon_phi_knc();

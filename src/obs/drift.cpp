@@ -10,13 +10,12 @@
 namespace hbd::obs {
 
 void DriftAudit::record(std::string_view phase, double measured_s,
-                        double modeled_s, PhaseScaling scaling) {
+                        double modeled_s) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(phase);
   if (it == entries_.end())
     it = entries_.emplace(std::string(phase), Entry{}).first;
   Entry& e = it->second;
-  e.scaling = scaling;
   ++e.windows;
   e.measured_total += measured_s;
   e.modeled_total += modeled_s;
@@ -33,38 +32,6 @@ void DriftAudit::record(std::string_view phase, double measured_s,
   }
 }
 
-void DriftAudit::record_roofline(std::string_view phase,
-                                 PhaseScaling scaling, double measured_s,
-                                 double measured_bytes, double modeled_bytes,
-                                 double modeled_flops) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = roof_entries_.find(phase);
-  if (it == roof_entries_.end())
-    it = roof_entries_.emplace(std::string(phase), RoofEntry{}).first;
-  RoofEntry& e = it->second;
-  e.scaling = scaling;
-  ++e.windows;
-  e.measured_s += measured_s;
-  e.measured_bytes += measured_bytes;
-  e.modeled_bytes += modeled_bytes;
-  e.modeled_flops += modeled_flops;
-  if (measured_bytes > 0.0 && modeled_bytes > 0.0) {
-    e.bytes_ratio_last = measured_bytes / modeled_bytes;
-    if (e.bytes_ratios.size() < kHistory) {
-      e.bytes_ratios.push_back(e.bytes_ratio_last);
-    } else {
-      e.bytes_ratios[e.ring_head] = e.bytes_ratio_last;
-      e.ring_head = (e.ring_head + 1) % kHistory;
-    }
-  }
-}
-
-void DriftAudit::set_roofs(double stream_bw_gbs, double peak_gflops) {
-  std::lock_guard<std::mutex> lock(mu_);
-  roof_bw_gbs_ = stream_bw_gbs;
-  roof_gflops_ = peak_gflops;
-}
-
 double DriftAudit::median(std::vector<double> v) {
   if (v.empty()) return 0.0;
   const std::size_t mid = v.size() / 2;
@@ -73,56 +40,13 @@ double DriftAudit::median(std::vector<double> v) {
   return v[mid];
 }
 
-PhaseDrift DriftAudit::drift_of(const std::string& name,
-                                const Entry& e) const {
-  PhaseDrift d;
-  d.name = name;
-  d.scaling = e.scaling;
-  d.windows = e.windows;
-  d.measured_total = e.measured_total;
-  d.modeled_total = e.modeled_total;
-  d.ratio_last = e.ratio_last;
-  d.ratio_median = median(e.ratios);
-  return d;
-}
-
-RooflineRecord DriftAudit::roofline_of(const std::string& name,
-                                       const RoofEntry& e) const {
-  RooflineRecord r;
-  r.name = name;
-  r.scaling = e.scaling;
-  r.windows = e.windows;
-  r.measured_s = e.measured_s;
-  r.measured_bytes = e.measured_bytes;
-  r.modeled_bytes = e.modeled_bytes;
-  r.modeled_flops = e.modeled_flops;
-  if (e.measured_s > 0.0) {
-    r.gbs = e.measured_bytes / e.measured_s * 1e-9;
-    r.gfs = e.modeled_flops / e.measured_s * 1e-9;
-  }
-  if (e.measured_bytes > 0.0) r.intensity = e.modeled_flops / e.measured_bytes;
-  if (roof_bw_gbs_ > 0.0) r.frac_bw_roof = r.gbs / roof_bw_gbs_;
-  if (roof_gflops_ > 0.0) r.frac_flop_roof = r.gfs / roof_gflops_;
-  r.bytes_ratio_last = e.bytes_ratio_last;
-  r.bytes_ratio_median = median(e.bytes_ratios);
-  return r;
-}
-
-std::vector<RooflineRecord> DriftAudit::roofline() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RooflineRecord> out;
-  out.reserve(roof_entries_.size());
-  for (const auto& [name, entry] : roof_entries_)
-    out.push_back(roofline_of(name, entry));
-  return out;
-}
-
 std::vector<PhaseDrift> DriftAudit::phases() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<PhaseDrift> out;
   out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_)
-    out.push_back(drift_of(name, entry));
+  for (const auto& [name, e] : entries_)
+    out.push_back({name, e.windows, e.measured_total, e.modeled_total,
+                   e.ratio_last, median(e.ratios)});
   return out;
 }
 
@@ -140,43 +64,6 @@ std::uint64_t DriftAudit::windows() const {
   return most;
 }
 
-DriftAudit::Recalibration DriftAudit::recalibration() const {
-  // A phase modeled as traffic/rate that measures r times slower than
-  // predicted implies the effective rate is 1/r of the modeled one; the
-  // correction pools the median ratios of all phases tied to that rate.
-  std::vector<double> bw, fft, ifft;
-  for (const PhaseDrift& d : phases()) {
-    if (d.ratio_median <= 0.0) continue;
-    switch (d.scaling) {
-      case PhaseScaling::bandwidth:
-        bw.push_back(1.0 / d.ratio_median);
-        break;
-      case PhaseScaling::fft:
-        fft.push_back(1.0 / d.ratio_median);
-        break;
-      case PhaseScaling::ifft:
-        ifft.push_back(1.0 / d.ratio_median);
-        break;
-      case PhaseScaling::other:
-        break;
-    }
-  }
-  Recalibration r;
-  if (!bw.empty()) r.bandwidth_scale = median(bw);
-  if (!fft.empty()) r.fft_scale = median(fft);
-  if (!ifft.empty()) r.ifft_scale = median(ifft);
-  // Counter evidence: pooled measured/modeled bytes of the bandwidth-bound
-  // phases.  Kept separate from bandwidth_scale (a *time* correction) —
-  // together they say whether drift comes from traffic or from rate.
-  std::vector<double> bytes;
-  for (const RooflineRecord& rec : roofline()) {
-    if (rec.scaling != PhaseScaling::bandwidth) continue;
-    if (rec.bytes_ratio_median > 0.0) bytes.push_back(rec.bytes_ratio_median);
-  }
-  if (!bytes.empty()) r.bytes_ratio = median(bytes);
-  return r;
-}
-
 std::string DriftAudit::report() const {
   std::ostringstream out;
   out << "phase                    windows   measured(s)    modeled(s)  "
@@ -190,31 +77,12 @@ std::string DriftAudit::report() const {
                   d.ratio_median);
     out << line;
   }
-  const std::vector<RooflineRecord> roofs = roofline();
-  if (!roofs.empty()) {
-    out << "roofline                 windows          GB/s          GF/s  "
-           "bytes(meas/mod)   %bw-roof\n";
-    for (const RooflineRecord& r : roofs) {
-      char line[160];
-      std::snprintf(line, sizeof(line),
-                    "%-24s %7llu %13.3f %13.3f %16.3f %10.1f\n",
-                    r.name.c_str(),
-                    static_cast<unsigned long long>(r.windows), r.gbs, r.gfs,
-                    r.bytes_ratio_median, 100.0 * r.frac_bw_roof);
-      out << line;
-    }
-  }
-  const Recalibration r = recalibration();
-  char tail[160];
-  std::snprintf(tail, sizeof(tail),
-                "recalibration: bandwidth x%.3f, fft x%.3f, ifft x%.3f, "
-                "bytes x%.3f\n",
-                r.bandwidth_scale, r.fft_scale, r.ifft_scale, r.bytes_ratio);
-  out << tail;
   return out.str();
 }
 
-void DriftAudit::write_json_fields(JsonWriter& w) const {
+void DriftAudit::write_json(std::ostream& out) const {
+  JsonWriter w(out);
+  w.begin_object();
   w.key("phases");
   w.begin_object();
   for (const PhaseDrift& d : phases()) {
@@ -228,40 +96,6 @@ void DriftAudit::write_json_fields(JsonWriter& w) const {
     w.end_object();
   }
   w.end_object();
-  w.key("roofline");
-  w.begin_object();
-  for (const RooflineRecord& r : roofline()) {
-    w.key(r.name);
-    w.begin_object();
-    w.field("windows", static_cast<double>(r.windows));
-    w.field("measured_s", r.measured_s);
-    w.field("measured_gb", r.measured_bytes * 1e-9);
-    w.field("modeled_gb", r.modeled_bytes * 1e-9);
-    w.field("modeled_gflop", r.modeled_flops * 1e-9);
-    w.field("gbs", r.gbs);
-    w.field("gfs", r.gfs);
-    w.field("intensity", r.intensity);
-    w.field("frac_bw_roof", r.frac_bw_roof);
-    w.field("frac_flop_roof", r.frac_flop_roof);
-    w.field("bytes_ratio_last", r.bytes_ratio_last);
-    w.field("bytes_ratio_median", r.bytes_ratio_median);
-    w.end_object();
-  }
-  w.end_object();
-  const Recalibration r = recalibration();
-  w.key("recalibration");
-  w.begin_object();
-  w.field("bandwidth_scale", r.bandwidth_scale);
-  w.field("fft_scale", r.fft_scale);
-  w.field("ifft_scale", r.ifft_scale);
-  w.field("bytes_ratio", r.bytes_ratio);
-  w.end_object();
-}
-
-void DriftAudit::write_json(std::ostream& out) const {
-  JsonWriter w(out);
-  w.begin_object();
-  write_json_fields(w);
   w.end_object();
   out << "\n";
 }
@@ -269,7 +103,6 @@ void DriftAudit::write_json(std::ostream& out) const {
 void DriftAudit::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  roof_entries_.clear();
 }
 
 }  // namespace hbd::obs

@@ -3,12 +3,10 @@
 // The performance model (paper Sec. IV-D, Eq. 10–11) predicts per-phase PME
 // times from hardware parameters; the hybrid scheduler trusts those
 // predictions when partitioning work.  The audit closes the loop: after
-// every mobility rebuild the driver records, per phase, the measured
-// seconds next to the model's prediction for the same window of work.  The
-// audit keeps per-window ratio history, reports the median drift per phase,
-// and derives multiplicative corrections for the model's effective rates
-// (bandwidth-bound phases → STREAM bandwidth, FFT phases → achievable FFT
-// rate) so `HardwareParams` can be recalibrated at runtime.
+// every mobility rebuild the driver's RunObserver records, per phase, the
+// measured seconds next to the model's prediction for the same window of
+// work.  The audit keeps per-window ratio history and reports the median
+// drift per phase.
 #pragma once
 
 #include <cstdint>
@@ -21,16 +19,9 @@
 
 namespace hbd::obs {
 
-class JsonWriter;
-
-/// Which hardware rate a phase's modeled time is inversely proportional to;
-/// used to map measured drift back onto HardwareParams knobs.
-enum class PhaseScaling { bandwidth, fft, ifft, other };
-
 /// Aggregated drift of one phase across audit windows.
 struct PhaseDrift {
   std::string name;
-  PhaseScaling scaling = PhaseScaling::other;
   std::uint64_t windows = 0;
   double measured_total = 0.0;  ///< seconds
   double modeled_total = 0.0;   ///< seconds
@@ -38,53 +29,15 @@ struct PhaseDrift {
   double ratio_median = 0.0;    ///< median of per-window ratios
 };
 
-/// Aggregated hardware-counter roofline evidence of one phase (layer 7):
-/// the third audit stream next to the wall-clock timers and the Eq. 10
-/// model.  Bytes are LLC-miss × line-size measurements; flops are the
-/// model's operation counts (counters measure traffic, the model counts
-/// work), so `gfs` is "modeled work over measured time".
-struct RooflineRecord {
-  std::string name;
-  PhaseScaling scaling = PhaseScaling::other;
-  std::uint64_t windows = 0;
-  double measured_s = 0.0;        ///< timer seconds of the audited windows
-  double measured_bytes = 0.0;    ///< LLC-miss traffic
-  double modeled_bytes = 0.0;     ///< Eq. 10 byte accounting
-  double modeled_flops = 0.0;     ///< Eq. 10 operation count
-  double gbs = 0.0;               ///< achieved GB/s (measured bytes/time)
-  double gfs = 0.0;               ///< achieved GF/s (modeled flops/time)
-  double intensity = 0.0;         ///< flops per measured byte
-  double frac_bw_roof = 0.0;      ///< gbs / HardwareParams stream bandwidth
-  double frac_flop_roof = 0.0;    ///< gfs / HardwareParams peak flops
-  double bytes_ratio_last = 0.0;  ///< measured/modeled bytes, last window
-  double bytes_ratio_median = 0.0;
-};
-
 class DriftAudit {
  public:
   /// Records one audit window for `phase`: `measured_s` seconds observed
   /// against `modeled_s` predicted.  Windows with a non-positive modeled
   /// time contribute to the totals but not to the ratio history.
-  void record(std::string_view phase, double measured_s, double modeled_s,
-              PhaseScaling scaling = PhaseScaling::other);
-
-  /// Records one hardware-counter window for `phase`.  `measured_s` is the
-  /// timer seconds covering the same work; `measured_bytes` the LLC-miss
-  /// traffic; `modeled_bytes`/`modeled_flops` the Eq. 10 accounting.
-  /// Windows lacking either byte side keep the rates but skip the ratio
-  /// history (mirrors record()).
-  void record_roofline(std::string_view phase, PhaseScaling scaling,
-                       double measured_s, double measured_bytes,
-                       double modeled_bytes, double modeled_flops);
-
-  /// Roofs used for the frac-of-roof fields (HardwareParams values).
-  void set_roofs(double stream_bw_gbs, double peak_gflops);
+  void record(std::string_view phase, double measured_s, double modeled_s);
 
   /// All audited phases, sorted by name.
   std::vector<PhaseDrift> phases() const;
-
-  /// All roofline-audited phases, sorted by name (empty without counters).
-  std::vector<RooflineRecord> roofline() const;
 
   /// Median measured/modeled ratio of one phase (0 when unaudited).
   double ratio(std::string_view phase) const;
@@ -92,29 +45,11 @@ class DriftAudit {
   /// Number of windows recorded for the most-audited phase.
   std::uint64_t windows() const;
 
-  /// Multiplicative corrections that would bring the model's effective
-  /// rates in line with the measured medians: scale < 1 means the hardware
-  /// delivered less than modeled.  Identity (all 1) until data exists.
-  struct Recalibration {
-    double bandwidth_scale = 1.0;  ///< multiply stream_bw_gbs by this
-    double fft_scale = 1.0;        ///< multiply the forward-FFT rate
-    double ifft_scale = 1.0;       ///< multiply the inverse-FFT rate
-    /// Pooled median measured/modeled *bytes* of the bandwidth-bound
-    /// phases (counter evidence; 1 until roofline data exists).  A phase
-    /// hitting its modeled time with bytes_ratio far from 1 is right for
-    /// the wrong reason — time drift and byte drift recalibrate
-    /// independently.
-    double bytes_ratio = 1.0;
-  };
-  Recalibration recalibration() const;
-
-  /// Human-readable per-phase table (plus a roofline table when counter
-  /// evidence exists).
+  /// Human-readable per-phase table.
   std::string report() const;
+  /// {"phases": {name: {windows, measured_s, modeled_s, ratio_last,
+  /// ratio_median}, ...}}
   void write_json(std::ostream& out) const;
-  /// Writes the "phases"/"roofline"/"recalibration" members into an
-  /// already-open JSON object (shared by the HBD_ROOFLINE export).
-  void write_json_fields(JsonWriter& w) const;
 
   void clear();
 
@@ -122,7 +57,6 @@ class DriftAudit {
   static constexpr std::size_t kHistory = 256;  // ratios kept per phase
 
   struct Entry {
-    PhaseScaling scaling = PhaseScaling::other;
     std::uint64_t windows = 0;
     double measured_total = 0.0;
     double modeled_total = 0.0;
@@ -131,28 +65,10 @@ class DriftAudit {
     std::size_t ring_head = 0;
   };
 
-  struct RoofEntry {
-    PhaseScaling scaling = PhaseScaling::other;
-    std::uint64_t windows = 0;
-    double measured_s = 0.0;
-    double measured_bytes = 0.0;
-    double modeled_bytes = 0.0;
-    double modeled_flops = 0.0;
-    double bytes_ratio_last = 0.0;
-    std::vector<double> bytes_ratios;  // ring of the last kHistory ratios
-    std::size_t ring_head = 0;
-  };
-
   static double median(std::vector<double> v);
-  PhaseDrift drift_of(const std::string& name, const Entry& e) const;
-  RooflineRecord roofline_of(const std::string& name,
-                             const RoofEntry& e) const;
 
   mutable std::mutex mu_;
   std::map<std::string, Entry, std::less<>> entries_;
-  std::map<std::string, RoofEntry, std::less<>> roof_entries_;
-  double roof_bw_gbs_ = 0.0;
-  double roof_gflops_ = 0.0;
 };
 
 }  // namespace hbd::obs

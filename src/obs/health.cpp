@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "hbd_version.hpp"
-#include "obs/hwcounters.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -70,10 +69,6 @@ RunManifest RunManifest::build_info() {
 #else
   m.omp_threads = 1;
 #endif
-  const PerfCounters& perf = PerfCounters::global();
-  m.perf_mode = perf_mode_name(perf.mode());
-  m.perf_fallback = perf.fallback_reason();
-  m.perf_events = perf.events();
   return m;
 }
 
@@ -104,7 +99,6 @@ void RunManifest::write_json(JsonWriter& w) const {
   w.key("skin_auto");
   w.value(skin_auto);
   w.field("precision", precision);
-  w.field("colored_fraction", colored_fraction);
   w.field("brownian_method", brownian_method);
   w.field("ewald_kernel", ewald_kernel);
   w.end_object();
@@ -124,16 +118,6 @@ void RunManifest::write_json(JsonWriter& w) const {
   w.field("name", hw_name);
   w.field("peak_dp_gflops", hw_gflops);
   w.field("stream_bw_gbs", hw_bw_gbs);
-  w.end_object();
-  w.key("perf");
-  w.begin_object();
-  w.field("mode", perf_mode);
-  w.field("fallback", perf_fallback);
-  w.field("line_bytes", PerfCounters::line_bytes());
-  w.key("events");
-  w.begin_array();
-  for (const std::string& ev : perf_events) w.value(ev);
-  w.end_array();
   w.end_object();
   w.end_object();
 }

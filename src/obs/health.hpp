@@ -119,11 +119,9 @@ struct RunManifest {
   /// Storage precision of the near-field values / interpolation weights
   /// ("fp64" or "fp32"; accumulation is FP64 either way).
   std::string precision = "fp64";
-  /// Mean fraction of rows under the colored symmetric schedule (1 unless
-  /// the hybrid degree threshold routed low-degree rows to the dup pass).
-  double colored_fraction = 1.0;
   /// Brownian sampling route: "krylov" (full-operator block Lanczos),
-  /// "wavespace" (PSE split sampler), or "cholesky" (dense Ewald driver).
+  /// "wavespace" (PSE split sampler), "tea" (truncated expansion) or
+  /// "cholesky" (dense tier).
   std::string brownian_method = "krylov";
   /// Ewald split of the PME operator: "beenakker" (default) or the
   /// positively-split "pse" kernel the wavespace sampler requires.
@@ -145,16 +143,7 @@ struct RunManifest {
   std::string hw_name;
   double hw_gflops = 0.0, hw_bw_gbs = 0.0;
 
-  // Hardware-counter subsystem (layer 7): the *effective* state after
-  // probing perf_event_open, so every artifact records whether roofline
-  // numbers existed and, if not, why ("off"/"unavailable"/"software"/
-  // "hardware"; see obs/hwcounters.hpp).
-  std::string perf_mode = "off";
-  std::string perf_fallback;            ///< why mode is below "hardware"
-  std::vector<std::string> perf_events; ///< events that actually opened
-
-  /// Build fields, the OMP thread count, and the probed perf-counter state
-  /// filled in; run fields zero.
+  /// Build fields and the OMP thread count filled in; run fields zero.
   static RunManifest build_info();
 
   /// Writes the manifest object (the caller has already emitted the key).

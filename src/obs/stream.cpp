@@ -40,10 +40,6 @@ struct StreamWriter::Window {
   double rebuild_fraction = -1.0;
   int rebuilds = 0;
   std::uint64_t rng_draws = 0;
-  // Last roofline summaries seen in the window (-1: none — the "roofline"
-  // object is omitted so counters-off output stays byte-identical).
-  double roof_bytes_ratio = -1.0;
-  double roof_gbs = -1.0;
   // Last active tier seen in the window (-1: none reported).
   double tier = -1.0;
 
@@ -61,8 +57,6 @@ struct StreamWriter::Window {
     if (r.rebuild_fraction >= 0.0) rebuild_fraction = r.rebuild_fraction;
     if (r.rebuilt) ++rebuilds;
     rng_draws = r.rng_draws;
-    if (r.roof_bytes_ratio >= 0.0) roof_bytes_ratio = r.roof_bytes_ratio;
-    if (r.roof_gbs >= 0.0) roof_gbs = r.roof_gbs;
     if (r.tier >= 0.0) tier = r.tier;
   }
 
@@ -77,8 +71,6 @@ struct StreamWriter::Window {
     ep = -1.0;
     rebuild_fraction = -1.0;
     rebuilds = 0;
-    roof_bytes_ratio = -1.0;
-    roof_gbs = -1.0;
     tier = -1.0;
   }
 };
@@ -218,16 +210,6 @@ void StreamWriter::emit(Window& w) {
       jw.field("rng_draws", static_cast<double>(w.rng_draws));
       jw.field("dropped", static_cast<double>(drops));
       jw.field("tier", w.tier);
-      // Present only when hardware counters produced a summary, so the
-      // counters-off stream stays byte-identical (schema checker treats
-      // the object as optional).
-      if (w.roof_bytes_ratio >= 0.0 || w.roof_gbs >= 0.0) {
-        jw.key("roofline");
-        jw.begin_object();
-        jw.field("bytes_ratio", w.roof_bytes_ratio);
-        jw.field("gbs", w.roof_gbs);
-        jw.end_object();
-      }
       jw.end_object();
       out_ << "\n";
     }

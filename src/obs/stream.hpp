@@ -55,12 +55,6 @@ struct StreamRecord {
   double rebuild_fraction = -1.0; ///< cells rebuilt / total (< 0: no rebuild)
   bool rebuilt = false;           ///< mobility rebuilt on this step
   std::uint64_t rng_draws = 0;    ///< trajectory-stream draw counter
-  /// Layer-7 roofline summaries of the audit window closed by this step's
-  /// rebuild (< 0: no hardware counters / not a rebuild step).  Windows
-  /// emit a "roofline" object only when a value was seen, so counters-off
-  /// NDJSON output is byte-identical to pre-layer-7 builds.
-  double roof_bytes_ratio = -1.0; ///< pooled measured/modeled bytes
-  double roof_gbs = -1.0;         ///< bandwidth phases' achieved GB/s
   /// Active mobility tier as a MobilityTier enum value (< 0: unknown —
   /// e.g. records produced before the first rebuild).
   double tier = -1.0;

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/telemetry.hpp"
 #include "pme/realspace.hpp"
 
@@ -20,14 +19,10 @@ PmeOperator::PmeOperator(std::span<const Vec3> pos, double box, double radius,
       params_(params),
       real_(neighbors ? RealspaceOperator(box, radius, params.xi, params.rmax,
                                           std::move(neighbors), params.storage,
-                                          params.precision,
-                                          params.sym_degree_threshold,
-                                          params.kernel)
+                                          params.precision, params.kernel)
                       : RealspaceOperator(box, radius, params.xi, params.rmax,
                                           params.skin, params.storage,
-                                          params.precision,
-                                          params.sym_degree_threshold,
-                                          params.kernel)),
+                                          params.precision, params.kernel)),
       interp_(pos, box, params.mesh, params.order, params.precompute_interp,
               params.interp, params.precision),
       influence_(params.mesh, box, radius, params.xi, params.order,
@@ -113,13 +108,11 @@ void PmeOperator::apply_recip(std::span<const double> f,
   {
     HBD_TRACE_SCOPE("pme.recip.spread");
     ScopedPhase t(&timers_, "spreading");
-    HBD_PERF_SCOPE("spreading");
     interp_.spread(f, mesh_[0].data(), mesh_[1].data(), mesh_[2].data());
   }
   {
     HBD_TRACE_SCOPE("pme.recip.fft");
     ScopedPhase t(&timers_, "fft");
-    HBD_PERF_SCOPE("fft");
     for (int c = 0; c < 3; ++c)
       fft_.forward(mesh_[c].data(), spec_[c].data());
   }
@@ -127,13 +120,11 @@ void PmeOperator::apply_recip(std::span<const double> f,
   {
     HBD_TRACE_SCOPE("pme.recip.influence");
     ScopedPhase t(&timers_, "influence");
-    HBD_PERF_SCOPE("influence");
     influence_.apply(spec_[0].data(), spec_[1].data(), spec_[2].data());
   }
   {
     HBD_TRACE_SCOPE("pme.recip.ifft");
     ScopedPhase t(&timers_, "ifft");
-    HBD_PERF_SCOPE("ifft");
     for (int c = 0; c < 3; ++c)
       fft_.inverse(spec_[c].data(), mesh_[c].data());
   }
@@ -141,7 +132,6 @@ void PmeOperator::apply_recip(std::span<const double> f,
   {
     HBD_TRACE_SCOPE("pme.recip.interp");
     ScopedPhase t(&timers_, "interpolation");
-    HBD_PERF_SCOPE("interpolation");
     interp_.interpolate(mesh_[0].data(), mesh_[1].data(), mesh_[2].data(), u);
   }
   HBD_COUNTER_ADD("pme.spread.bytes", spread_traffic_bytes(1));
@@ -155,7 +145,6 @@ void PmeOperator::apply(std::span<const double> f, std::span<double> u) {
   {
     HBD_TRACE_SCOPE("pme.real.spmv");
     ScopedPhase t(&timers_, "realspace");
-    HBD_PERF_SCOPE("realspace");
     real_.apply(f, {scratch_.data(), scratch_.size()});
   }
 #pragma omp parallel for schedule(static)
@@ -171,33 +160,28 @@ void PmeOperator::recip_block(const Matrix& f, Matrix& u, bool accumulate) {
   {
     HBD_TRACE_SCOPE("pme.recip.spread");
     ScopedPhase t(&timers_, "spreading");
-    HBD_PERF_SCOPE("spreading");
     interp_.spread_block(f, batch_mesh_.data());
   }
   {
     HBD_TRACE_SCOPE("pme.recip.fft");
     ScopedPhase t(&timers_, "fft");
-    HBD_PERF_SCOPE("fft");
     fft_.forward_batch(batch_mesh_.data(), batch_spec_.data(), 3 * s);
   }
   HBD_COUNTER_ADD("pme.fft.forward", 3 * s);
   {
     HBD_TRACE_SCOPE("pme.recip.influence");
     ScopedPhase t(&timers_, "influence");
-    HBD_PERF_SCOPE("influence");
     influence_.apply_batch(batch_spec_.data(), s);
   }
   {
     HBD_TRACE_SCOPE("pme.recip.ifft");
     ScopedPhase t(&timers_, "ifft");
-    HBD_PERF_SCOPE("ifft");
     fft_.inverse_batch(batch_spec_.data(), batch_mesh_.data(), 3 * s);
   }
   HBD_COUNTER_ADD("pme.fft.inverse", 3 * s);
   {
     HBD_TRACE_SCOPE("pme.recip.interp");
     ScopedPhase t(&timers_, "interpolation");
-    HBD_PERF_SCOPE("interpolation");
     interp_.interpolate_block(batch_mesh_.data(), u, accumulate);
   }
   HBD_COUNTER_ADD("pme.spread.bytes", spread_traffic_bytes(s));
@@ -220,7 +204,6 @@ void PmeOperator::sample_recip_block(std::span<const double> noise, Matrix& u,
   // include wave-sample work.
   HBD_TRACE_SCOPE("pme.wave_sample");
   ScopedPhase phase(&timers_, "wave_sample");
-  HBD_PERF_SCOPE("wave_sample");
   counts_.wave += 1;
   counts_.wave_columns += s;
   const std::size_t b = 3 * s;
@@ -267,7 +250,6 @@ void PmeOperator::sample_recip_block(Xoshiro256& rng, Matrix& u,
   {
     HBD_TRACE_SCOPE("pme.wave_sample.noise");
     ScopedPhase phase(&timers_, "wave_sample");
-    HBD_PERF_SCOPE("wave_sample");
 #pragma omp parallel for schedule(static)
     for (std::size_t m = 0; m < 3 * s; ++m) {
       Xoshiro256 sub(seeds[m]);
@@ -290,7 +272,6 @@ void PmeOperator::apply_block(const Matrix& f, Matrix& u) {
   {
     HBD_TRACE_SCOPE("pme.real.spmv");
     ScopedPhase t(&timers_, "realspace");
-    HBD_PERF_SCOPE("realspace");
     real_.apply_block(f, u);
   }
   // Reciprocal: all s columns in one batched pass per phase.

@@ -75,10 +75,6 @@ struct PmeParams {
 #else
   Precision precision = Precision::fp64;
 #endif
-  /// Symmetric-storage hybrid coloring: rows with logical off-diagonal
-  /// degree below this threshold skip the colored schedule and stream
-  /// duplicated (0 = color every row, the historical schedule).
-  std::size_t sym_degree_threshold = 0;
   /// Brownian sampling route (see BrownianMethod).  The default keeps the
   /// full-operator block-Krylov path bitwise identical to prior releases;
   /// wavespace enables the split sampler and its covariance health probe.

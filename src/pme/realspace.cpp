@@ -14,18 +14,16 @@ RealspaceOperator::RealspaceOperator(double box, double radius, double xi,
                                      double rmax, double skin,
                                      NearFieldStorage storage,
                                      Precision precision,
-                                     std::size_t sym_degree_threshold,
                                      EwaldKernel kernel)
     : RealspaceOperator(box, radius, xi, rmax,
                         std::make_shared<NeighborList>(box, rmax, skin),
-                        storage, precision, sym_degree_threshold, kernel) {}
+                        storage, precision, kernel) {}
 
 RealspaceOperator::RealspaceOperator(double box, double radius, double xi,
                                      double rmax,
                                      std::shared_ptr<NeighborList> neighbors,
                                      NearFieldStorage storage,
                                      Precision precision,
-                                     std::size_t sym_degree_threshold,
                                      EwaldKernel kernel)
     : box_(box),
       radius_(radius),
@@ -33,7 +31,6 @@ RealspaceOperator::RealspaceOperator(double box, double radius, double xi,
       rmax_(rmax),
       storage_(storage),
       precision_(precision),
-      sym_degree_threshold_(sym_degree_threshold),
       kernel_(kernel),
       neighbors_(std::move(neighbors)) {
   HBD_CHECK_MSG(rmax <= 0.5 * box,
@@ -59,7 +56,6 @@ void RealspaceOperator::refresh(std::span<const Vec3> pos) {
     pattern_generation_ = neighbors_->build_count();
     HBD_GAUGE_SET("realspace.nnz_blocks", logical_nnz_blocks());
     HBD_GAUGE_SET("realspace.stored_blocks", stored_nnz_blocks());
-    HBD_GAUGE_SET("realspace.colored_fraction", colored_fraction());
   }
   {
     HBD_TRACE_SCOPE("realspace.values");
@@ -109,7 +105,6 @@ void RealspaceOperator::rebuild_pattern_for(Bcsr3MatrixT<Real>& full,
 
   if (symmetric) {
     sym.resize_pattern(n, row_counts_);
-    sym.set_degree_threshold(sym_degree_threshold_);
     const auto mat_ptr = sym.row_ptr();
     auto mat_cols = sym.col_idx_mut();
 #pragma omp parallel for schedule(static)
@@ -260,12 +255,6 @@ void RealspaceOperator::apply_block(const Matrix& f, Matrix& u) const {
     else
       matrix_.multiply_block(f, u);
   }
-}
-
-double RealspaceOperator::colored_fraction() const {
-  if (storage_ != NearFieldStorage::symmetric) return 1.0;
-  return precision_ == Precision::fp32 ? sym_f_.mean_colored_fraction()
-                                       : sym_.mean_colored_fraction();
 }
 
 const Bcsr3Matrix& RealspaceOperator::matrix() const {

@@ -61,7 +61,6 @@ class RealspaceOperator {
                     double skin = 0.0,
                     NearFieldStorage storage = NearFieldStorage::full,
                     Precision precision = Precision::fp64,
-                    std::size_t sym_degree_threshold = 0,
                     EwaldKernel kernel = EwaldKernel::beenakker);
 
   /// Shares `neighbors` with other consumers (steric forces, diagnostics).
@@ -70,7 +69,6 @@ class RealspaceOperator {
                     std::shared_ptr<NeighborList> neighbors,
                     NearFieldStorage storage = NearFieldStorage::full,
                     Precision precision = Precision::fp64,
-                    std::size_t sym_degree_threshold = 0,
                     EwaldKernel kernel = EwaldKernel::beenakker);
 
   /// Revalidates the neighbor list for `pos` and recomputes the matrix
@@ -80,12 +78,6 @@ class RealspaceOperator {
   NearFieldStorage storage() const { return storage_; }
   Precision precision() const { return precision_; }
   EwaldKernel kernel() const { return kernel_; }
-  /// Hybrid-coloring degree threshold forwarded to symmetric storage
-  /// (0: fully colored, the historical schedule).
-  std::size_t sym_degree_threshold() const { return sym_degree_threshold_; }
-  /// Fraction of block rows in the colored schedule — 1.0 for full storage
-  /// or fully-colored symmetric storage.
-  double colored_fraction() const;
 
   /// u = M_real f (includes the self term); storage-mode dispatching.
   void apply(std::span<const double> f, std::span<double> u) const;
@@ -146,7 +138,6 @@ class RealspaceOperator {
   double box_, radius_, xi_, rmax_;
   NearFieldStorage storage_;
   Precision precision_;
-  std::size_t sym_degree_threshold_;
   EwaldKernel kernel_;
   PseRealDelta pse_delta_;  // populated for EwaldKernel::pse only
   std::shared_ptr<NeighborList> neighbors_;

@@ -12,12 +12,10 @@ template <class Real>
 SymBcsr3MatrixT<Real> SymBcsr3MatrixT<Real>::from_blocks(
     std::size_t nblock,
     const std::vector<std::vector<std::uint32_t>>& block_cols,
-    const std::vector<std::vector<std::array<double, 9>>>& blocks,
-    std::size_t degree_threshold) {
+    const std::vector<std::vector<std::array<double, 9>>>& blocks) {
   HBD_CHECK(block_cols.size() == nblock && blocks.size() == nblock);
   SymBcsr3MatrixT m;
   m.nblock_ = nblock;
-  m.degree_threshold_ = degree_threshold;
   m.row_ptr_.assign(nblock + 1, 0);
   std::size_t total = 0;
   // Validation up front: HBD_CHECK throws, and an exception escaping an
@@ -69,25 +67,9 @@ void SymBcsr3MatrixT<Real>::resize_pattern(
 }
 
 template <class Real>
-void SymBcsr3MatrixT<Real>::set_degree_threshold(std::size_t threshold) {
-  if (threshold == degree_threshold_) return;
-  degree_threshold_ = threshold;
-  if (!color_ptr_.empty()) finalize_pattern();  // pattern live: re-schedule
-}
-
-template <class Real>
-double SymBcsr3MatrixT<Real>::mean_colored_fraction() const {
-  if (nblock_ == 0 || !hybrid_) return 1.0;
-  std::size_t colored = 0;
-  for (std::size_t i = 0; i < nblock_; ++i) colored += colored_[i] ? 1 : 0;
-  return static_cast<double>(colored) / static_cast<double>(nblock_);
-}
-
-template <class Real>
 void SymBcsr3MatrixT<Real>::finalize_pattern() {
   const std::size_t n = nblock_;
   diag_blocks_ = 0;
-  colored_.assign(n, 1);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t t = row_ptr_[i]; t < row_ptr_[i + 1]; ++t) {
       HBD_CHECK(col_idx_[t] < n && col_idx_[t] >= i);
@@ -110,46 +92,24 @@ void SymBcsr3MatrixT<Real>::finalize_pattern() {
         csc_rows_[cursor[col_idx_[t]]++] = static_cast<std::uint32_t>(i);
   }
 
-  // Hybrid selection: a row joins the colored schedule only when its
-  // logical off-diagonal degree (stored row blocks plus transposed column
-  // blocks, diagonal excluded) reaches the threshold.  Threshold 0 keeps
-  // every row colored — the historical schedule, bit for bit.
-  if (degree_threshold_ > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t has_diag = 0;
-      for (std::size_t t = row_ptr_[i]; t < row_ptr_[i + 1]; ++t)
-        if (col_idx_[t] == i) has_diag = 1;
-      const std::size_t degree = (row_ptr_[i + 1] - row_ptr_[i]) +
-                                 (csc_ptr_[i + 1] - csc_ptr_[i]) -
-                                 2 * has_diag;
-      colored_[i] = degree >= degree_threshold_ ? 1 : 0;
-    }
-  }
-
   // Greedy distance-2 coloring in ascending row order: rows conflict when
-  // their scheduled write sets W(i) = {i} ∪ {colored cols(i)} intersect.
-  // Serial and therefore deterministic — the schedule (hence the kernels'
-  // accumulation order) depends only on the pattern and the threshold.
+  // their write sets W(i) = {i} ∪ cols(i) intersect.  Serial and therefore
+  // deterministic — the schedule (hence the kernels' accumulation order)
+  // depends only on the pattern.
   row_color_.assign(n, 0);
   color_stamp_.clear();
   std::uint32_t ncolors = 0;
-  std::size_t ncolored = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!colored_[i]) continue;
-    ++ncolored;
     const std::uint32_t stamp = static_cast<std::uint32_t>(i) + 1;
     auto forbid = [&](std::size_t row) {
-      if (row < i && colored_[row]) color_stamp_[row_color_[row]] = stamp;
+      if (row < i) color_stamp_[row_color_[row]] = stamp;
     };
-    // Column i's earlier scheduled writers conflict through y_i …
+    // Column i's earlier writers conflict through y_i …
     for (std::size_t t = csc_ptr_[i]; t < csc_ptr_[i + 1]; ++t)
       forbid(csc_rows_[t]);
-    // … and for each scheduled column j: row j itself plus its other
-    // scheduled writers.  Blocks with an uncolored endpoint never scatter,
-    // so they impose no constraint here.
+    // … and for each column j: row j itself plus its other writers.
     for (std::size_t t = row_ptr_[i]; t < row_ptr_[i + 1]; ++t) {
       const std::size_t j = col_idx_[t];
-      if (!colored_[j]) continue;
       forbid(j);
       for (std::size_t u = csc_ptr_[j]; u < csc_ptr_[j + 1]; ++u)
         forbid(csc_rows_[u]);
@@ -162,28 +122,25 @@ void SymBcsr3MatrixT<Real>::finalize_pattern() {
     }
     row_color_[i] = c;
   }
-  hybrid_ = ncolored < n;
 
-  // Bucket colored rows by color; the ascending sweep keeps rows of one
-  // color in ascending order without a sort.
+  // Bucket rows by color; the ascending sweep keeps rows of one color in
+  // ascending order without a sort.
   color_ptr_.assign(ncolors + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    if (colored_[i]) ++color_ptr_[row_color_[i] + 1];
+  for (std::size_t i = 0; i < n; ++i) ++color_ptr_[row_color_[i] + 1];
   for (std::uint32_t c = 0; c < ncolors; ++c)
     color_ptr_[c + 1] += color_ptr_[c];
-  color_rows_.resize(ncolored);
+  color_rows_.resize(n);
   {
     std::vector<std::size_t> cursor(color_ptr_.begin(), color_ptr_.end() - 1);
     for (std::size_t i = 0; i < n; ++i)
-      if (colored_[i])
-        color_rows_[cursor[row_color_[i]]++] = static_cast<std::uint32_t>(i);
+      color_rows_[cursor[row_color_[i]]++] = static_cast<std::uint32_t>(i);
   }
   // Physical value layout follows the schedule: rows in the order the
-  // multiply visits them (colors in sequence, then uncolored hybrid rows
-  // ascending), blocks within a row keeping their CSR order.  The colored
-  // pass then streams values_ front to back and the hardware prefetcher
-  // stays engaged; in CSR row order the color interleave degrades the
-  // dominant value stream to scattered few-hundred-byte reads.  Pure data
+  // multiply visits them (colors in sequence), blocks within a row keeping
+  // their CSR order.  The multiply then streams values_ front to back and
+  // the hardware prefetcher stays engaged; in CSR row order the color
+  // interleave degrades the dominant value stream to scattered
+  // few-hundred-byte reads.  Pure data
   // movement — per-block arithmetic order is unchanged, so FP64 results
   // stay bitwise identical to the historical layout.
   {
@@ -192,13 +149,6 @@ void SymBcsr3MatrixT<Real>::finalize_pattern() {
     for (const std::uint32_t i : color_rows_) {
       nprow[i] = off;
       off += row_ptr_[i + 1] - row_ptr_[i];
-    }
-    if (hybrid_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (colored_[i]) continue;
-        nprow[i] = off;
-        off += row_ptr_[i + 1] - row_ptr_[i];
-      }
     }
     if (!values_stale_ && !values_.empty()) {
       // Live values: move them out of the previous layout (prow_ when one
@@ -219,60 +169,6 @@ void SymBcsr3MatrixT<Real>::finalize_pattern() {
     prow_ = std::move(nprow);
     values_stale_ = false;
   }
-
-  // Hybrid schedule: colored rows scatter only blocks whose both endpoints
-  // are colored; every other block is gathered row-locally in the
-  // duplicated pass (forward into its row, transposed into its column).
-  sched_ptr_.clear();
-  sched_blocks_.clear();
-  dup_ptr_.clear();
-  dup_idx_.clear();
-  dup_col_.clear();
-  if (!hybrid_) return;
-  sched_ptr_.assign(n + 1, 0);
-  dup_ptr_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t t = row_ptr_[i]; t < row_ptr_[i + 1]; ++t) {
-      const std::size_t j = col_idx_[t];
-      if (colored_[i] && colored_[j]) {
-        ++sched_ptr_[i + 1];
-      } else {
-        ++dup_ptr_[i + 1];                // forward into y_i
-        if (j != i) ++dup_ptr_[j + 1];    // transpose into y_j
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    sched_ptr_[i + 1] += sched_ptr_[i];
-    dup_ptr_[i + 1] += dup_ptr_[i];
-  }
-  sched_blocks_.resize(sched_ptr_[n]);
-  dup_idx_.resize(dup_ptr_[n]);
-  dup_col_.resize(dup_ptr_[n]);
-  {
-    std::vector<std::size_t> scur(sched_ptr_.begin(), sched_ptr_.end() - 1);
-    std::vector<std::size_t> dcur(dup_ptr_.begin(), dup_ptr_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t t = row_ptr_[i]; t < row_ptr_[i + 1]; ++t) {
-        const std::size_t j = col_idx_[t];
-        // dup_idx_ records the *physical* slot: the duplicated pass walks
-        // rows out of schedule order, so it cannot derive it on the fly.
-        const std::uint32_t pt =
-            static_cast<std::uint32_t>(prow_[i] + (t - row_ptr_[i]));
-        if (colored_[i] && colored_[j]) {
-          sched_blocks_[scur[i]++] = static_cast<std::uint32_t>(t);
-        } else {
-          dup_idx_[dcur[i]] = pt;
-          dup_col_[dcur[i]++] = static_cast<std::uint32_t>(j);
-          if (j != i) {
-            dup_idx_[dcur[j]] = pt;
-            dup_col_[dcur[j]++] =
-                static_cast<std::uint32_t>(i) | kDupTranspose;
-          }
-        }
-      }
-    }
-  }
 }
 
 template <class Real>
@@ -283,70 +179,32 @@ void SymBcsr3MatrixT<Real>::multiply(std::span<const double> x,
                 "finalize_pattern() must run before multiply");
   std::fill(y.begin(), y.end(), 0.0);
   const std::size_t ncolors = num_colors();
-  if (!hybrid_) {
-    for (std::size_t c = 0; c < ncolors; ++c) {
-      const std::size_t lo = color_ptr_[c], hi = color_ptr_[c + 1];
-#pragma omp parallel for schedule(dynamic, 64)
-      for (std::size_t r = lo; r < hi; ++r) {
-        const std::size_t i = color_rows_[r];
-        const std::size_t cnt = row_ptr_[i + 1] - row_ptr_[i];
-        const Real* vrow = values_.data() + 9 * prow_[i];
-        const std::uint32_t* crow = col_idx_.data() + row_ptr_[i];
-#if HBD_SIMD_AVX2
-        if constexpr (std::is_same_v<Real, float>) {
-          simd::sym_row_spmv_f(vrow, crow, cnt, i, x.data(), y.data());
-          continue;
-        }
-#endif
-        const double xi0 = x[3 * i], xi1 = x[3 * i + 1], xi2 = x[3 * i + 2];
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-        double bw[9];
-        for (std::size_t k = 0; k < cnt; ++k) {
-          const double* b = simd::load_block9(vrow + 9 * k, bw);
-          const std::size_t j = crow[k];
-          const double* xj = x.data() + 3 * j;
-          s0 += b[0] * xj[0] + b[1] * xj[1] + b[2] * xj[2];
-          s1 += b[3] * xj[0] + b[4] * xj[1] + b[5] * xj[2];
-          s2 += b[6] * xj[0] + b[7] * xj[1] + b[8] * xj[2];
-          if (j != i) {
-            // Transpose contribution of the same block: y_j += bᵀ x_i.
-            double* yj = y.data() + 3 * j;
-            yj[0] += b[0] * xi0 + b[3] * xi1 + b[6] * xi2;
-            yj[1] += b[1] * xi0 + b[4] * xi1 + b[7] * xi2;
-            yj[2] += b[2] * xi0 + b[5] * xi1 + b[8] * xi2;
-          }
-        }
-        y[3 * i] += s0;
-        y[3 * i + 1] += s1;
-        y[3 * i + 2] += s2;
-      }
-    }
-    return;
-  }
-
-  // Hybrid: colored scatter over scheduled blocks, then a row-parallel
-  // gather of the duplicated contributions (each row writes only itself, so
-  // the pass is race-free and deterministic for any thread count).
   for (std::size_t c = 0; c < ncolors; ++c) {
     const std::size_t lo = color_ptr_[c], hi = color_ptr_[c + 1];
 #pragma omp parallel for schedule(dynamic, 64)
     for (std::size_t r = lo; r < hi; ++r) {
       const std::size_t i = color_rows_[r];
-      const std::size_t t0 = row_ptr_[i];
-      const std::size_t p0 = prow_[i];
+      const std::size_t cnt = row_ptr_[i + 1] - row_ptr_[i];
+      const Real* vrow = values_.data() + 9 * prow_[i];
+      const std::uint32_t* crow = col_idx_.data() + row_ptr_[i];
+#if HBD_SIMD_AVX2
+      if constexpr (std::is_same_v<Real, float>) {
+        simd::sym_row_spmv_f(vrow, crow, cnt, i, x.data(), y.data());
+        continue;
+      }
+#endif
       const double xi0 = x[3 * i], xi1 = x[3 * i + 1], xi2 = x[3 * i + 2];
       double s0 = 0.0, s1 = 0.0, s2 = 0.0;
       double bw[9];
-      for (std::size_t e = sched_ptr_[i]; e < sched_ptr_[i + 1]; ++e) {
-        const std::size_t t = sched_blocks_[e];
-        const double* b =
-            simd::load_block9(values_.data() + 9 * (p0 + (t - t0)), bw);
-        const std::size_t j = col_idx_[t];
+      for (std::size_t k = 0; k < cnt; ++k) {
+        const double* b = simd::load_block9(vrow + 9 * k, bw);
+        const std::size_t j = crow[k];
         const double* xj = x.data() + 3 * j;
         s0 += b[0] * xj[0] + b[1] * xj[1] + b[2] * xj[2];
         s1 += b[3] * xj[0] + b[4] * xj[1] + b[5] * xj[2];
         s2 += b[6] * xj[0] + b[7] * xj[1] + b[8] * xj[2];
         if (j != i) {
+          // Transpose contribution of the same block: y_j += bᵀ x_i.
           double* yj = y.data() + 3 * j;
           yj[0] += b[0] * xi0 + b[3] * xi1 + b[6] * xi2;
           yj[1] += b[1] * xi0 + b[4] * xi1 + b[7] * xi2;
@@ -358,31 +216,6 @@ void SymBcsr3MatrixT<Real>::multiply(std::span<const double> x,
       y[3 * i + 2] += s2;
     }
   }
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::size_t i = 0; i < nblock_; ++i) {
-    const std::size_t lo = dup_ptr_[i], hi = dup_ptr_[i + 1];
-    if (lo == hi) continue;
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-    double bw[9];
-    for (std::size_t e = lo; e < hi; ++e) {
-      const double* b =
-          simd::load_block9(values_.data() + 9 * dup_idx_[e], bw);
-      const std::uint32_t src = dup_col_[e];
-      const double* xo = x.data() + 3 * (src & ~kDupTranspose);
-      if (src & kDupTranspose) {
-        s0 += b[0] * xo[0] + b[3] * xo[1] + b[6] * xo[2];
-        s1 += b[1] * xo[0] + b[4] * xo[1] + b[7] * xo[2];
-        s2 += b[2] * xo[0] + b[5] * xo[1] + b[8] * xo[2];
-      } else {
-        s0 += b[0] * xo[0] + b[1] * xo[1] + b[2] * xo[2];
-        s1 += b[3] * xo[0] + b[4] * xo[1] + b[5] * xo[2];
-        s2 += b[6] * xo[0] + b[7] * xo[1] + b[8] * xo[2];
-      }
-    }
-    y[3 * i] += s0;
-    y[3 * i + 1] += s1;
-    y[3 * i + 2] += s2;
-  }
 }
 
 template <class Real>
@@ -393,40 +226,6 @@ void SymBcsr3MatrixT<Real>::multiply_block(const Matrix& x, Matrix& y) const {
   const std::size_t s = x.cols();
   std::fill(y.data(), y.data() + y.rows() * s, 0.0);
   const std::size_t ncolors = num_colors();
-  if (!hybrid_) {
-    for (std::size_t c = 0; c < ncolors; ++c) {
-      const std::size_t lo = color_ptr_[c], hi = color_ptr_[c + 1];
-#pragma omp parallel for schedule(dynamic, 64)
-      for (std::size_t r = lo; r < hi; ++r) {
-        const std::size_t i = color_rows_[r];
-        const double* xi = x.data() + (3 * i) * s;
-        const double* xi1 = xi + s;
-        const double* xi2 = xi1 + s;
-        double* yi = y.data() + (3 * i) * s;
-        double* yi1 = yi + s;
-        double* yi2 = yi1 + s;
-        const std::size_t cnt = row_ptr_[i + 1] - row_ptr_[i];
-        const Real* vrow = values_.data() + 9 * prow_[i];
-        const std::uint32_t* crow = col_idx_.data() + row_ptr_[i];
-        for (std::size_t k = 0; k < cnt; ++k) {
-          const Real* b = vrow + 9 * k;
-          const std::size_t j = crow[k];
-          const double* xj = x.data() + (3 * j) * s;
-          const double* xj1 = xj + s;
-          const double* xj2 = xj1 + s;
-          simd::block3_fma(b, xj, xj1, xj2, yi, yi1, yi2, s);
-          if (j != i) {
-            double* yj = y.data() + (3 * j) * s;
-            double* yj1 = yj + s;
-            double* yj2 = yj1 + s;
-            simd::block3t_fma(b, xi, xi1, xi2, yj, yj1, yj2, s);
-          }
-        }
-      }
-    }
-    return;
-  }
-
   for (std::size_t c = 0; c < ncolors; ++c) {
     const std::size_t lo = color_ptr_[c], hi = color_ptr_[c + 1];
 #pragma omp parallel for schedule(dynamic, 64)
@@ -438,12 +237,12 @@ void SymBcsr3MatrixT<Real>::multiply_block(const Matrix& x, Matrix& y) const {
       double* yi = y.data() + (3 * i) * s;
       double* yi1 = yi + s;
       double* yi2 = yi1 + s;
-      const std::size_t t0 = row_ptr_[i];
-      const std::size_t p0 = prow_[i];
-      for (std::size_t e = sched_ptr_[i]; e < sched_ptr_[i + 1]; ++e) {
-        const std::size_t t = sched_blocks_[e];
-        const Real* b = values_.data() + 9 * (p0 + (t - t0));
-        const std::size_t j = col_idx_[t];
+      const std::size_t cnt = row_ptr_[i + 1] - row_ptr_[i];
+      const Real* vrow = values_.data() + 9 * prow_[i];
+      const std::uint32_t* crow = col_idx_.data() + row_ptr_[i];
+      for (std::size_t k = 0; k < cnt; ++k) {
+        const Real* b = vrow + 9 * k;
+        const std::size_t j = crow[k];
         const double* xj = x.data() + (3 * j) * s;
         const double* xj1 = xj + s;
         const double* xj2 = xj1 + s;
@@ -455,25 +254,6 @@ void SymBcsr3MatrixT<Real>::multiply_block(const Matrix& x, Matrix& y) const {
           simd::block3t_fma(b, xi, xi1, xi2, yj, yj1, yj2, s);
         }
       }
-    }
-  }
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::size_t i = 0; i < nblock_; ++i) {
-    const std::size_t lo = dup_ptr_[i], hi = dup_ptr_[i + 1];
-    if (lo == hi) continue;
-    double* yi = y.data() + (3 * i) * s;
-    double* yi1 = yi + s;
-    double* yi2 = yi1 + s;
-    for (std::size_t e = lo; e < hi; ++e) {
-      const Real* b = values_.data() + 9 * dup_idx_[e];
-      const std::uint32_t src = dup_col_[e];
-      const double* xo = x.data() + (3 * (src & ~kDupTranspose)) * s;
-      const double* xo1 = xo + s;
-      const double* xo2 = xo1 + s;
-      if (src & kDupTranspose)
-        simd::block3t_fma(b, xo, xo1, xo2, yi, yi1, yi2, s);
-      else
-        simd::block3_fma(b, xo, xo1, xo2, yi, yi1, yi2, s);
     }
   }
 }

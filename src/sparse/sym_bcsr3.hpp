@@ -15,17 +15,6 @@
 // accumulation order is a function of the pattern alone — results are
 // bitwise identical for any thread count.
 //
-// Hybrid mode (degree_threshold > 0): coloring constrains the whole matrix
-// to the sparsest row's parallelism even though only high-degree rows repay
-// the scheduling overhead.  Rows whose logical off-diagonal degree is below
-// the threshold are excluded from the schedule; a block is processed in the
-// colored scatter pass only when BOTH its endpoints are colored, and every
-// other block is streamed a second time in a row-parallel "duplicated" pass
-// that accumulates strictly into its own row (disjoint writes, no coloring
-// needed).  The threshold trades streamed bytes (duplicated blocks count
-// twice) against scheduling overhead; threshold 0 keeps the historical
-// fully-colored kernels bitwise verbatim.
-//
 // Like Bcsr3MatrixT, the container is templated over the stored value type:
 // SymBcsr3MatrixT<float> halves the value stream while every accumulator
 // stays double.
@@ -56,8 +45,7 @@ class SymBcsr3MatrixT {
   static SymBcsr3MatrixT from_blocks(
       std::size_t nblock,
       const std::vector<std::vector<std::uint32_t>>& block_cols,
-      const std::vector<std::vector<std::array<double, 9>>>& blocks,
-      std::size_t degree_threshold = 0);
+      const std::vector<std::vector<std::array<double, 9>>>& blocks);
 
   std::size_t block_rows() const { return nblock_; }
   std::size_t rows() const { return 3 * nblock_; }
@@ -72,35 +60,15 @@ class SymBcsr3MatrixT {
     return color_ptr_.empty() ? 0 : color_ptr_.size() - 1;
   }
 
-  /// Minimum logical off-diagonal degree for a row to join the colored
-  /// schedule; 0 selects the historical fully-colored kernels.  Takes
-  /// effect at the next finalize_pattern() (re-runs it when the pattern is
-  /// already live).
-  void set_degree_threshold(std::size_t threshold);
-  std::size_t degree_threshold() const { return degree_threshold_; }
-  /// Fraction of block rows handled by the colored schedule (1.0 when the
-  /// hybrid fallback is inactive).  Recorded in metrics and the manifest.
-  double mean_colored_fraction() const;
-  /// True when some rows fell back to duplicated streaming.
-  bool is_hybrid() const { return hybrid_; }
-  /// Entries of the duplicated pass (each streams one block's 9 values).
-  std::size_t duplicated_entries() const { return dup_idx_.size(); }
-  /// Blocks streamed per product: stored once each when fully colored;
-  /// unscheduled blocks stream once per side they touch in hybrid mode.
-  std::size_t streamed_blocks() const {
-    return hybrid_ ? sched_blocks_.size() + dup_idx_.size() : stored_blocks();
-  }
-
   std::span<const std::size_t> row_ptr() const { return row_ptr_; }
   std::span<const std::uint32_t> col_idx() const { return col_idx_; }
   /// Stored block values in *schedule* order: rows appear in the order the
-  /// colored multiply visits them (colors in sequence, then any uncolored
-  /// hybrid rows), so the kernels stream this array front to back and the
-  /// hardware prefetcher stays engaged — in CSR row order the color
-  /// interleave would turn the dominant value stream into scattered ~600 B
-  /// reads.  Block t of row i lives at 9*(phys_row_start()[i] + t -
-  /// row_ptr()[i]); within a row blocks keep their CSR (ascending-column)
-  /// order.
+  /// colored multiply visits them (colors in sequence), so the kernels
+  /// stream this array front to back and the hardware prefetcher stays
+  /// engaged — in CSR row order the color interleave would turn the
+  /// dominant value stream into scattered ~600 B reads.  Block t of row i
+  /// lives at 9*(phys_row_start()[i] + t - row_ptr()[i]); within a row
+  /// blocks keep their CSR (ascending-column) order.
   std::span<const Real> values() const {
     return {values_.data(), 9 * col_idx_.size()};
   }
@@ -109,8 +77,7 @@ class SymBcsr3MatrixT {
 
   /// Color schedule: rows of color c are
   /// color_rows()[color_ptr()[c] .. color_ptr()[c+1]), ascending.  Rows of
-  /// one color have pairwise disjoint write sets (tested invariant).  In
-  /// hybrid mode only colored rows appear.
+  /// one color have pairwise disjoint write sets (tested invariant).
   std::span<const std::size_t> color_ptr() const { return color_ptr_; }
   std::span<const std::uint32_t> color_rows() const { return color_rows_; }
 
@@ -129,8 +96,7 @@ class SymBcsr3MatrixT {
   }
 
   /// Validates the written pattern (sorted upper-triangle columns) and
-  /// rebuilds the greedy row coloring (plus the hybrid schedule when a
-  /// degree threshold is set).  Must be called after resize_pattern +
+  /// rebuilds the greedy row coloring.  Must be called after resize_pattern +
   /// column writes and before multiply()/multiply_block().
   void finalize_pattern();
 
@@ -158,21 +124,6 @@ class SymBcsr3MatrixT {
   // Color schedule: rows grouped by color, colors executed in order.
   std::vector<std::size_t> color_ptr_;     // per color into color_rows_
   std::vector<std::uint32_t> color_rows_;  // rows, ascending within a color
-
-  // Hybrid schedule (empty unless hybrid_): per colored row the blocks it
-  // may scatter (both endpoints colored), and per row the duplicated
-  // contributions it gathers on its own (value index + source block
-  // row/col, transpose contributions flagged in the high bit).
-  std::size_t degree_threshold_ = 0;
-  bool hybrid_ = false;
-  std::vector<std::uint8_t> colored_;      // per row: in the colored schedule?
-  std::vector<std::size_t> sched_ptr_;     // per row into sched_blocks_
-  std::vector<std::uint32_t> sched_blocks_;  // value indices, ascending
-  std::vector<std::size_t> dup_ptr_;       // per row into dup_idx_/dup_col_
-  std::vector<std::uint32_t> dup_idx_;     // physical value index of the block
-  std::vector<std::uint32_t> dup_col_;     // source block index | kDupTranspose
-
-  static constexpr std::uint32_t kDupTranspose = 0x80000000u;
 
   // Zeroed slack elements kept after the last block so the FP32 SpMV kernel
   // may load each 3-value block row with a 4-wide vector load (the read

@@ -227,6 +227,29 @@ TEST(BackendTier, ForcedDenseManifestSaysCholesky) {
   EXPECT_EQ(sim.manifest().mobility_tier, "pme_krylov");
 }
 
+TEST(BackendTier, ForcedTeaManifestSaysTea) {
+  ParticleSystem sys = golden_system(16);
+  const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
+  MatrixFreeBdSimulation sim(std::move(sys), nullptr, golden_config(), pme,
+                             1e-2);
+  sim.set_tier(MobilityTier::tea);
+  sim.step(1);
+  EXPECT_EQ(sim.manifest().brownian_method, "tea");
+  EXPECT_EQ(sim.manifest().mobility_tier, "tea");
+  // The published copy (metrics/trace exporters, /manifest) follows.
+  EXPECT_EQ(obs::run_manifest().brownian_method, "tea");
+}
+
+TEST(BackendTier, ErrorBudgetRepublishesManifest) {
+  ParticleSystem sys = golden_system(16);
+  const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);
+  MatrixFreeBdSimulation sim(std::move(sys), nullptr, golden_config(), pme,
+                             1e-2);
+  EXPECT_EQ(obs::run_manifest().error_budget, 0.0);
+  sim.set_error_budget(1e-3);
+  EXPECT_DOUBLE_EQ(obs::run_manifest().error_budget, 1e-3);
+}
+
 TEST(BackendTier, ForcingNativeTierIsNoop) {
   ParticleSystem sys = golden_system(16);
   const PmeParams pme = choose_pme_params(sys.box, 1.0, 1e-3);

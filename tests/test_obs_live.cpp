@@ -200,14 +200,14 @@ TEST(Stream, WindowsCarrySchemaHeaderAndAggregates) {
   obs::StreamWriter::Options opts;
   opts.path = path;
   opts.interval = 4;
-  sim.enable_stream(opts);
+  sim.observer().enable_stream(opts);
   const std::size_t steps = 11;  // 2 full windows + 1 partial
   sim.step(steps);
-  ASSERT_NE(sim.stream(), nullptr);
-  sim.stream()->stop();
-  EXPECT_EQ(sim.stream()->pushed(), steps);
-  EXPECT_EQ(sim.stream()->dropped(), 0u);
-  EXPECT_EQ(sim.stream()->windows_written(), 3u);
+  ASSERT_NE(sim.observer().stream(), nullptr);
+  sim.observer().stream()->stop();
+  EXPECT_EQ(sim.observer().stream()->pushed(), steps);
+  EXPECT_EQ(sim.observer().stream()->dropped(), 0u);
+  EXPECT_EQ(sim.observer().stream()->windows_written(), 3u);
 
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
@@ -254,6 +254,49 @@ TEST(Stream, WindowsCarrySchemaHeaderAndAggregates) {
   }
   EXPECT_EQ(windows, 3u);
   EXPECT_EQ(steps_seen, steps);
+  std::remove(path.c_str());
+}
+
+TEST(Stream, EnvWiredHeaderCarriesThisRunsManifest) {
+  if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const std::string path = temp_path("stream_env.ndjson");
+  const std::string health = temp_path("health_env.json");
+  std::remove(health.c_str());
+  // An earlier driver published its own manifest; the env-wired stream of
+  // the next one must not inherit it.
+  { MatrixFreeBdSimulation earlier = make_sim(27); }
+  ::setenv("HBD_STREAM", path.c_str(), 1);
+  ::setenv("HBD_HEALTH", health.c_str(), 1);
+  {
+    MatrixFreeBdSimulation sim = make_sim(64);
+    ASSERT_NE(sim.observer().stream(), nullptr);
+    sim.observer().stream()->stop();
+  }
+  ASSERT_EQ(std::remove(health.c_str()), 0) << "a built driver reports";
+  // A driver whose constructor throws writes no health report.
+  {
+    ParticleSystem sys = test_suspension(64);
+    BdConfig config;
+    config.lambda_rpy = 0;
+    PmeParams pp;
+    pp.rmax = std::min(4.0, 0.49 * sys.box);
+    pp.xi = std::sqrt(std::log(1e3)) / pp.rmax;
+    EXPECT_ANY_THROW(
+        MatrixFreeBdSimulation(std::move(sys), nullptr, config, pp));
+  }
+  ::unsetenv("HBD_STREAM");
+  ::unsetenv("HBD_HEALTH");
+  EXPECT_FALSE(std::ifstream(health).is_open());
+
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  obs::JsonValue header;
+  ASSERT_TRUE(obs::json_parse(line, header)) << line;
+  const obs::JsonValue* manifest = header.find("manifest");
+  ASSERT_NE(manifest, nullptr);
+  EXPECT_EQ(manifest->num_or("particles", 0.0), 64.0);
+  EXPECT_EQ(manifest->num_or("seed", 0.0), 42.0);
   std::remove(path.c_str());
 }
 
@@ -497,8 +540,8 @@ TEST(Expo, ConcurrentScrapeDuringStepping) {
   obs::StreamWriter::Options opts;
   opts.path = path;
   opts.interval = 2;
-  sim.enable_stream(opts);
-  sim.enable_flight({/*path=*/"", /*depth=*/16});
+  sim.observer().enable_stream(opts);
+  sim.observer().enable_flight({/*path=*/"", /*depth=*/16});
 
   std::atomic<bool> done{false};
   std::thread stepper([&] {
@@ -641,12 +684,13 @@ TEST(Flight, InjectedFailureDumpsBundleAndReplaysBitwise) {
       MatrixFreeBdSimulation sim =
           make_sim(64, /*seed=*/9, /*with_forces=*/true);
       sim.set_tier(tier);
-      sim.enable_flight({path, /*depth=*/16});
-      sim.set_inject_step(11);  // anchor at the step-8 rebuild, then crash
+      sim.observer().enable_flight({path, /*depth=*/16});
+      // Anchor at the step-8 rebuild, then crash.
+      sim.observer().set_inject_step(11);
       EXPECT_THROW(sim.step(16), NumericalException);
       EXPECT_EQ(sim.steps_taken(), 11u);
-      ASSERT_NE(sim.flight(), nullptr);
-      EXPECT_TRUE(sim.flight()->has_failure());
+      ASSERT_NE(sim.observer().flight(), nullptr);
+      EXPECT_TRUE(sim.observer().flight()->has_failure());
     }
     const FlightBundle bundle = load_flight_bundle(path);
     EXPECT_EQ(bundle.snapshot_step, 8u);
@@ -670,8 +714,8 @@ TEST(Flight, TamperedBundleFailsReplay) {
   const std::string path = temp_path("bundle_tampered.json");
   {
     MatrixFreeBdSimulation sim = make_sim(64, /*seed=*/9, /*with_forces=*/true);
-    sim.enable_flight({path, /*depth=*/16});
-    sim.set_inject_step(11);
+    sim.observer().enable_flight({path, /*depth=*/16});
+    sim.observer().set_inject_step(11);
     EXPECT_THROW(sim.step(16), NumericalException);
   }
   // Flip the newest recorded position hash (records before the anchor are
@@ -701,25 +745,30 @@ TEST(Flight, StreamAndFlightNeverPerturbTheTrajectory) {
   if (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   const std::string path = temp_path("stream_invariance.ndjson");
   const std::size_t n = 64, steps = 10;
+  for (std::size_t t = 0; t < kMobilityTierCount; ++t) {
+    const MobilityTier tier = static_cast<MobilityTier>(t);
+    SCOPED_TRACE(mobility_tier_name(tier));
+    MatrixFreeBdSimulation bare = make_sim(n, /*seed=*/11);
+    bare.set_tier(tier);
+    bare.step(steps);
 
-  MatrixFreeBdSimulation bare = make_sim(n, /*seed=*/11);
-  bare.step(steps);
+    MatrixFreeBdSimulation observed = make_sim(n, /*seed=*/11);
+    observed.set_tier(tier);
+    obs::StreamWriter::Options opts;
+    opts.path = path;
+    opts.interval = 3;
+    observed.observer().enable_stream(opts);
+    observed.observer().enable_flight({/*path=*/"", /*depth=*/32});
+    observed.step(steps);
 
-  MatrixFreeBdSimulation observed = make_sim(n, /*seed=*/11);
-  obs::StreamWriter::Options opts;
-  opts.path = path;
-  opts.interval = 3;
-  observed.enable_stream(opts);
-  observed.enable_flight({/*path=*/"", /*depth=*/32});
-  observed.step(steps);
-
-  const auto& a = bare.system().positions;
-  const auto& b = observed.system().positions;
-  ASSERT_EQ(a.size(), b.size());
-  const std::uint64_t ha = obs::hash_doubles({&a[0].x, 3 * a.size()});
-  const std::uint64_t hb = obs::hash_doubles({&b[0].x, 3 * b.size()});
-  EXPECT_EQ(ha, hb) << "live telemetry must be observation-only";
-  EXPECT_EQ(observed.flight()->recorded(), steps);
+    const auto& a = bare.system().positions;
+    const auto& b = observed.system().positions;
+    ASSERT_EQ(a.size(), b.size());
+    const std::uint64_t ha = obs::hash_doubles({&a[0].x, 3 * a.size()});
+    const std::uint64_t hb = obs::hash_doubles({&b[0].x, 3 * b.size()});
+    EXPECT_EQ(ha, hb) << "live telemetry must be observation-only";
+    EXPECT_EQ(observed.observer().flight()->recorded(), steps);
+  }
   std::remove(path.c_str());
 }
 
@@ -730,14 +779,14 @@ TEST(Overhead, LiveTelemetryStaysUnderTwoPercentOfStepTime) {
   obs::StreamWriter::Options opts;
   opts.path = path;
   opts.interval = 4;
-  sim.enable_stream(opts);
-  sim.enable_flight({/*path=*/"", /*depth=*/64});
+  sim.observer().enable_stream(opts);
+  sim.observer().enable_flight({/*path=*/"", /*depth=*/64});
   obs::MetricsServer server(0);
   ASSERT_TRUE(server.ok());
 
   sim.step(1);  // prime (plans, first rebuild)
   sim.step(8);
-  // observe_step accounts for its own cost — hashes, stream push, flight
+  // on_step accounts for its own cost — hashes, stream push, flight
   // record — against the total stepped wall time.
   const double frac = obs::Registry::global().gauge("obs.overhead_frac").value();
   EXPECT_GT(frac, 0.0);

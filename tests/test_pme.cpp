@@ -754,30 +754,6 @@ TEST(Fp32Pme, SymmetricStorageMatchesFull) {
   EXPECT_LT(nrm2(diff) / nrm2(uf), 1e-12);
 }
 
-TEST(Fp32Pme, HybridThresholdPreservesOperator) {
-  const std::size_t n = 50;
-  const double a = 1.0;
-  const double box = box_for_volume_fraction(n, a, 0.25);
-  const auto pos = random_positions(n, box, 241);
-  PmeParams pp = choose_pme_params(box, a, 1e-3);
-  pp.storage = NearFieldStorage::symmetric;
-  PmeOperator pure(pos, box, a, pp);
-  EXPECT_DOUBLE_EQ(pure.realspace().colored_fraction(), 1.0);
-  pp.sym_degree_threshold = 8;
-  PmeOperator hyb(pos, box, a, pp);
-  const double cf = hyb.realspace().colored_fraction();
-  EXPECT_GE(cf, 0.0);
-  EXPECT_LE(cf, 1.0);
-  std::vector<double> f(3 * n), up(3 * n), uh(3 * n);
-  Xoshiro256 rng(242);
-  fill_gaussian(rng, f);
-  pure.apply_real(f, up);
-  hyb.apply_real(f, uh);
-  std::vector<double> diff(3 * n);
-  for (std::size_t i = 0; i < 3 * n; ++i) diff[i] = uh[i] - up[i];
-  EXPECT_LT(nrm2(diff) / nrm2(up), 1e-13);
-}
-
 TEST(Fp32Pme, ChosenParamsStillHitTarget) {
   // The ISSUE acceptance gate: FP32 storage keeps e_p ≤ 5e-3 at parameters
   // chosen for 1e-3 (measured against the high-accuracy direct Ewald sum).

@@ -144,7 +144,6 @@ TEST(Precision, Fp32TrajectoryWithinProbedEp) {
     EXPECT_LE(s32->health().ep_max(), 5e-3);
     EXPECT_EQ(s32->manifest().precision, "fp32");
     EXPECT_EQ(s64->manifest().precision, "fp64");
-    EXPECT_DOUBLE_EQ(s32->manifest().colored_fraction, 1.0);
   }
 }
 

@@ -91,8 +91,7 @@ struct SymPair {
 };
 
 SymPair random_sym_bcsr(std::size_t nblock, double density,
-                        std::uint64_t seed,
-                        std::size_t degree_threshold = 0) {
+                        std::uint64_t seed) {
   Xoshiro256 rng(seed);
   std::vector<std::vector<std::uint32_t>> ucols(nblock), fcols(nblock);
   std::vector<std::vector<std::array<double, 9>>> ublocks(nblock),
@@ -118,8 +117,7 @@ SymPair random_sym_bcsr(std::size_t nblock, double density,
       }
     }
   }
-  return {SymBcsr3Matrix::from_blocks(nblock, ucols, ublocks,
-                                      degree_threshold),
+  return {SymBcsr3Matrix::from_blocks(nblock, ucols, ublocks),
           Bcsr3Matrix::from_blocks(nblock, fcols, fblocks)};
 }
 
@@ -263,107 +261,6 @@ TEST(SymBcsr3, EmptyMatrix) {
   std::vector<double> x(12, 1.0), y(12, 99.0);
   m.multiply(x, y);
   for (double v : y) EXPECT_EQ(v, 0.0);
-}
-
-// ---- Hybrid coloring (degree-thresholded symmetric schedule) ---------------
-
-TEST(SymBcsr3Hybrid, MatchesDenseAcrossThresholds) {
-  const std::size_t nb = 40;
-  for (std::size_t threshold : {1u, 4u, 8u, 1000u}) {
-    const SymPair m = random_sym_bcsr(nb, 0.25, 35, threshold);
-    const Matrix d = m.half.to_dense();
-    std::vector<double> x(3 * nb), y_sparse(3 * nb), y_dense(3 * nb, 0.0);
-    Xoshiro256 rng(36);
-    fill_gaussian(rng, x);
-    m.half.multiply(x, y_sparse);
-    gemv(1.0, d, x, 0.0, y_dense);
-    for (std::size_t i = 0; i < 3 * nb; ++i)
-      ASSERT_NEAR(y_sparse[i], y_dense[i], 1e-12) << "threshold " << threshold;
-  }
-}
-
-TEST(SymBcsr3Hybrid, BlockMultiplyMatchesRepeatedSingle) {
-  const std::size_t nb = 24, s = 5;
-  const SymPair m = random_sym_bcsr(nb, 0.3, 37, /*degree_threshold=*/6);
-  Matrix x(3 * nb, s), y(3 * nb, s);
-  Xoshiro256 rng(38);
-  fill_gaussian(rng, {x.data(), x.rows() * x.cols()});
-  m.half.multiply_block(x, y);
-  std::vector<double> xc(3 * nb), yc(3 * nb);
-  for (std::size_t c = 0; c < s; ++c) {
-    for (std::size_t i = 0; i < 3 * nb; ++i) xc[i] = x(i, c);
-    m.half.multiply(xc, yc);
-    for (std::size_t i = 0; i < 3 * nb; ++i) ASSERT_NEAR(y(i, c), yc[i], 1e-12);
-  }
-}
-
-// The dup pass writes each row from its own thread-independent gather, so
-// hybrid mode keeps the bitwise-determinism guarantee of the pure schedule.
-TEST(SymBcsr3Hybrid, BitwiseDeterministicAcrossThreadCounts) {
-  const std::size_t nb = 64, s = 4;
-  const SymPair m = random_sym_bcsr(nb, 0.2, 39, /*degree_threshold=*/10);
-  ASSERT_TRUE(m.half.is_hybrid());
-  std::vector<double> x(3 * nb);
-  Matrix xb(3 * nb, s);
-  Xoshiro256 rng(40);
-  fill_gaussian(rng, x);
-  fill_gaussian(rng, {xb.data(), xb.rows() * xb.cols()});
-
-  const int saved = omp_get_max_threads();
-  std::vector<double> y_ref(3 * nb);
-  Matrix yb_ref(3 * nb, s);
-  omp_set_num_threads(1);
-  m.half.multiply(x, y_ref);
-  m.half.multiply_block(xb, yb_ref);
-  for (int threads : {2, 8}) {
-    omp_set_num_threads(threads);
-    std::vector<double> y(3 * nb);
-    Matrix yb(3 * nb, s);
-    m.half.multiply(x, y);
-    m.half.multiply_block(xb, yb);
-    for (std::size_t i = 0; i < 3 * nb; ++i) {
-      ASSERT_EQ(y[i], y_ref[i]) << "thread count " << threads;
-      for (std::size_t c = 0; c < s; ++c)
-        ASSERT_EQ(yb(i, c), yb_ref(i, c)) << "thread count " << threads;
-    }
-  }
-  omp_set_num_threads(saved);
-}
-
-TEST(SymBcsr3Hybrid, ColoredFractionTracksThreshold) {
-  const std::size_t nb = 50;
-  const SymPair all = random_sym_bcsr(nb, 0.3, 41, 0);
-  EXPECT_FALSE(all.half.is_hybrid());
-  EXPECT_DOUBLE_EQ(all.half.mean_colored_fraction(), 1.0);
-  EXPECT_EQ(all.half.duplicated_entries(), 0u);
-  EXPECT_EQ(all.half.streamed_blocks(), all.half.stored_blocks());
-
-  const SymPair some = random_sym_bcsr(nb, 0.3, 41, /*degree_threshold=*/12);
-  ASSERT_TRUE(some.half.is_hybrid());
-  EXPECT_GT(some.half.mean_colored_fraction(), 0.0);
-  EXPECT_LT(some.half.mean_colored_fraction(), 1.0);
-  EXPECT_GT(some.half.duplicated_entries(), 0u);
-
-  // Every row below the threshold: no colored rows, pure duplicated pass —
-  // each off-diagonal block streams once per side it touches.
-  const SymPair none = random_sym_bcsr(nb, 0.3, 41, /*degree_threshold=*/1000);
-  ASSERT_TRUE(none.half.is_hybrid());
-  EXPECT_DOUBLE_EQ(none.half.mean_colored_fraction(), 0.0);
-  EXPECT_EQ(none.half.streamed_blocks(),
-            2 * none.half.stored_blocks() - nb);  // diagonal streams once
-}
-
-TEST(SymBcsr3Hybrid, SetThresholdRecolorsLiveMatrix) {
-  SymPair m = random_sym_bcsr(30, 0.3, 43, 0);
-  std::vector<double> x(90), y_before(90), y_after(90);
-  Xoshiro256 rng(44);
-  fill_gaussian(rng, x);
-  m.half.multiply(x, y_before);
-  m.half.set_degree_threshold(8);
-  EXPECT_EQ(m.half.degree_threshold(), 8u);
-  m.half.multiply(x, y_after);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    ASSERT_NEAR(y_after[i], y_before[i], 1e-12);
 }
 
 // ---- FP32 storage ----------------------------------------------------------

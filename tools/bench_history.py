@@ -4,7 +4,7 @@
 Usage:
     bench_history.py --history BENCH_HISTORY.ndjson \
         --report BENCH_realspace.json [--report BENCH_block_mobility.json] \
-        [--roofline roofline.json] [--timestamp 2026-08-09T12:00:00Z]
+        [--timestamp 2026-08-09T12:00:00Z]
 
 Each --report appends one line to the history file:
 
@@ -12,14 +12,11 @@ Each --report appends one line to the history file:
      "omp_threads": 1, "n": 16000, "timestamp": "...",
      "manifest": {"seed": ..., "particles": ..., "box": ..., "radius": ...,
                   "mesh": ..., "order": ..., "rmax": ..., "xi": ...},
-     "metrics": {"t_rebuild_s": <p50>, ...},
-     "perf_mode": "hardware", "roofline": {"realspace": {"gbs": ...,
-       "bytes_ratio_median": ...}, ...}}   # only with --roofline
+     "metrics": {"t_rebuild_s": <p50>, ...}}
 
 "metrics" holds the p50 of every percentile key in the report — the same
 values check_bench_regression.py gates, so `--history` trend gates read
-directly from this file.  "roofline"/"perf_mode" ride along when a layer-7
-HBD_ROOFLINE bundle is passed, tying achieved bandwidth to the perf entry.
+directly from this file.
 
 The history is append-only and committed (BENCH_HISTORY.ndjson at the repo
 root): every line is one (bench, version) measurement, so regressions that
@@ -73,47 +70,22 @@ def entry_from_report(report, path, timestamp):
     }
 
 
-def attach_roofline(entry, roofline_doc, path):
-    perf = roofline_doc.get("perf", {})
-    entry["perf_mode"] = perf.get("mode", "off")
-    summary = {}
-    for name, rec in roofline_doc.get("roofline", {}).items():
-        if not isinstance(rec, dict):
-            sys.exit(f"{path}: roofline.{name} is not an object")
-        summary[name] = {
-            "gbs": rec.get("gbs", 0.0),
-            "gfs": rec.get("gfs", 0.0),
-            "bytes_ratio_median": rec.get("bytes_ratio_median", 0.0),
-            "frac_bw_roof": rec.get("frac_bw_roof", 0.0),
-        }
-    entry["roofline"] = summary
-    recal = roofline_doc.get("recalibration", {})
-    if "bytes_ratio" in recal:
-        entry["bytes_ratio"] = recal["bytes_ratio"]
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--history", required=True,
                         help="NDJSON history file to append to")
     parser.add_argument("--report", action="append", default=[],
                         required=True, help="BENCH_*.json report to record")
-    parser.add_argument("--roofline",
-                        help="HBD_ROOFLINE bundle recorded alongside each "
-                             "report (perf mode + per-phase GB/s)")
     parser.add_argument("--timestamp",
                         help="ISO-8601 stamp (default: now, UTC)")
     args = parser.parse_args()
 
     timestamp = args.timestamp or datetime.datetime.now(
         datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    roofline_doc = load(args.roofline) if args.roofline else None
 
     lines = []
     for path in args.report:
         entry = entry_from_report(load(path), path, timestamp)
-        if roofline_doc is not None:
-            attach_roofline(entry, roofline_doc, args.roofline)
         lines.append(json.dumps(entry, sort_keys=True))
     try:
         with open(args.history, "a", encoding="utf-8") as fh:

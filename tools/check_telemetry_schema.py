@@ -29,13 +29,8 @@ Validates that
     grammar, counters carry the _total suffix, native histogram families
     carry cumulative le buckets ending at +Inf plus _sum/_count, and
     hbd_build_info is there;
-  * a roofline bundle (HBD_ROOFLINE=<path>) is an hbd.roofline.v1 document
-    carrying the perf-counter provenance (mode/fallback/events) and, in
-    hardware mode, per-phase records whose measured/modeled byte ratio sits
-    inside the 0.25-4 sanity band;
   * every artifact embeds the run-provenance manifest (version, compiler,
-    run configuration, PME parameters, perf-counter state, and the fidelity
-    tier block: mobility_tier/switches/error_budget); --require-tier NAME
+    run configuration, PME parameters, and the fidelity tier block: mobility_tier/switches/error_budget); --require-tier NAME
     additionally pins the manifest's active tier (the CI leg that forces
     HBD_TIER=tea uses it to prove the tier actually took).  Stream files pin
     the last window's live tier field instead — their header manifest is
@@ -104,12 +99,10 @@ def check_manifest(doc, path, pin_tier=True):
                 f"manifest.pme.{key} must be numeric")
     require(pme.get("precision") in ("fp64", "fp32"), path,
             "manifest.pme.precision must be 'fp64' or 'fp32'")
-    cf = pme.get("colored_fraction")
-    require(is_num(cf) and 0.0 <= cf <= 1.0, path,
-            "manifest.pme.colored_fraction must be in [0, 1]")
     require(pme.get("brownian_method") in ("cholesky", "krylov",
-                                           "wavespace"), path,
-            "manifest.pme.brownian_method must be cholesky/krylov/wavespace")
+                                           "wavespace", "tea"), path,
+            "manifest.pme.brownian_method must be "
+            "cholesky/krylov/wavespace/tea")
     require(pme.get("ewald_kernel") in ("beenakker", "pse"), path,
             "manifest.pme.ewald_kernel must be 'beenakker' or 'pse'")
     rng = m.get("rng_streams")
@@ -139,32 +132,6 @@ def check_manifest(doc, path, pin_tier=True):
     for key in ("peak_dp_gflops", "stream_bw_gbs"):
         require(is_num(hw.get(key)), path,
                 f"manifest.hardware.{key} must be numeric")
-    check_perf(m.get("perf"), path, "manifest.perf")
-
-
-PERF_MODES = ("off", "unavailable", "software", "hardware")
-
-
-def check_perf(perf, path, where):
-    """Layer-7 counter provenance: effective mode + recorded fallback."""
-    require(isinstance(perf, dict), path, f"missing {where} object")
-    require(perf.get("mode") in PERF_MODES, path,
-            f"{where}.mode must be one of {'/'.join(PERF_MODES)}")
-    require(isinstance(perf.get("fallback"), str), path,
-            f"{where}.fallback must be a string")
-    if perf["mode"] != "hardware":
-        require(perf["fallback"], path,
-                f"{where}: sub-hardware mode must record a fallback reason")
-    require(is_num(perf.get("line_bytes")) and perf["line_bytes"] > 0, path,
-            f"{where}.line_bytes must be positive")
-    events = perf.get("events")
-    require(isinstance(events, list), path, f"{where}.events must be a list")
-    for e in events:
-        require(isinstance(e, str) and e, path,
-                f"{where}.events entries must be non-empty strings")
-    if perf["mode"] in ("software", "hardware"):
-        require(events, path,
-                f"{where}: counting modes must list the opened events")
 
 
 def check_trace(path):
@@ -377,13 +344,6 @@ def check_stream(path):
             require(is_num(phases.get(name)), path,
                     f"{where}: phases.{name} not numeric")
         require(w["dropped"] >= 0, path, f"{where}: negative dropped count")
-        roof = w.get("roofline")
-        if roof is not None:  # optional: only hardware-counter runs emit it
-            require(isinstance(roof, dict), path,
-                    f"{where}: roofline must be an object")
-            for key in ("bytes_ratio", "gbs"):
-                require(is_num(roof.get(key)), path,
-                        f"{where}: roofline.{key} not numeric")
     require(steps_total > 0, path, "no window lines after the header")
     if EXPECTED_TIER is not None:
         # The header manifest records the tier at stream-open; the windows
@@ -461,50 +421,6 @@ def check_flight(path):
     verdict = "with failure" if failure else "no failure"
     print(f"{path}: ok ({len(records)} records, {len(positions) // 3} "
           f"particles, {verdict})")
-
-
-ROOFLINE_FIELDS = ("windows", "measured_s", "measured_gb", "modeled_gb",
-                   "modeled_gflop", "gbs", "gfs", "intensity",
-                   "frac_bw_roof", "frac_flop_roof", "bytes_ratio_last",
-                   "bytes_ratio_median")
-
-
-def check_roofline(path):
-    """hbd.roofline.v1 bundle (HBD_ROOFLINE=<path>, layer 7)."""
-    doc = load(path)
-    require(isinstance(doc, dict), path, "top level must be an object")
-    require(doc.get("schema") == "hbd.roofline.v1", path,
-            "schema must be hbd.roofline.v1")
-    check_manifest(doc, path)
-    perf = doc.get("perf")
-    check_perf(perf, path, "perf")
-    phases = doc.get("phases")
-    require(isinstance(phases, dict), path, "missing phases object")
-    roofline = doc.get("roofline")
-    require(isinstance(roofline, dict), path, "missing roofline object")
-    recal = doc.get("recalibration")
-    require(isinstance(recal, dict), path, "missing recalibration object")
-    require(is_num(recal.get("bytes_ratio")), path,
-            "recalibration.bytes_ratio must be numeric")
-    for name, rec in roofline.items():
-        require(isinstance(rec, dict), path,
-                f"roofline.{name} must be an object")
-        for key in ROOFLINE_FIELDS:
-            require(is_num(rec.get(key)), path,
-                    f"roofline.{name}.{key} must be numeric")
-    if perf["mode"] == "hardware":
-        # Measured-traffic sanity band: only meaningful with real LLC-miss
-        # counts, so sub-hardware modes skip it (their roofline is empty).
-        require(roofline, path,
-                "hardware mode must produce roofline records")
-        for name, rec in roofline.items():
-            ratio = rec["bytes_ratio_median"]
-            if ratio > 0:
-                require(0.25 <= ratio <= 4.0, path,
-                        f"roofline.{name}: bytes_ratio_median {ratio:g} "
-                        f"outside the 0.25-4 sanity band")
-    print(f"{path}: ok (perf mode {perf['mode']}, "
-          f"{len(roofline)} roofline phases)")
 
 
 def check_prom(path):
@@ -615,8 +531,6 @@ def main():
                         help="HBD_FLIGHT post-mortem bundle")
     parser.add_argument("--prom", action="append", default=[],
                         help="saved GET /metrics Prometheus text dump")
-    parser.add_argument("--roofline", action="append", default=[],
-                        help="HBD_ROOFLINE hbd.roofline.v1 bundle")
     parser.add_argument("--require-tier", choices=MOBILITY_TIERS,
                         default=None,
                         help="require every manifest's active mobility tier "
@@ -625,7 +539,7 @@ def main():
     global EXPECTED_TIER
     EXPECTED_TIER = args.require_tier
     if not (args.trace or args.metrics or args.bench or args.health
-            or args.stream or args.flight or args.prom or args.roofline):
+            or args.stream or args.flight or args.prom):
         parser.error("nothing to check")
     for path in args.trace:
         check_trace(path)
@@ -641,8 +555,6 @@ def main():
         check_flight(path)
     for path in args.prom:
         check_prom(path)
-    for path in args.roofline:
-        check_roofline(path)
 
 
 if __name__ == "__main__":
